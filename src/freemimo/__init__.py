@@ -52,6 +52,7 @@ from .montecarlo import (
     EnsembleSpec,
     ErgodicEstimate,
     ProjectorSpec,
+    TrialStats,
     apply_projector,
     empirical_spectrum,
     ergodic_deviation,
@@ -61,6 +62,7 @@ from .montecarlo import (
     limiting_family,
     sample_matrix,
     trial_rng,
+    trial_stats,
 )
 from .experiments import (
     ExperimentConfig,

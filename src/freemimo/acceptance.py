@@ -17,7 +17,6 @@ from . import asymptotics as asy
 from . import infotheory as it
 from . import montecarlo as mc
 from . import spectra as sp
-from .experiments import _paired_grid_stats
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,12 @@ def criterion_2():
     gamma = 1e4
     target = asy.binary_entropy_loss(0.5, 0.75)
     discrepancies = {}
+    proj = mc.ProjectorSpec("receive", 0.75)
     for n, trials in ((64, 150_000), (512, 3_000)):
         spec = mc.EnsembleSpec("iid_complex_gaussian", n, n // 2, 1.0)
-        mi_r, mi_p, _, _ = _paired_grid_stats(spec, 0.75, [gamma], trials,
-                                              seed=203)
-        discrepancies[n] = abs(float(np.mean(mi_r[0] - mi_p[0])) - target)
+        s = mc.trial_stats(spec, proj, [gamma], trials, 203, ("mi",))
+        discrepancies[n] = abs(float(np.mean(s.mi_ref[0] - s.mi_proj[0]))
+                               - target)
     res.check("|loss(512) - 0.622556|", discrepancies[512], 0.05)
     res.check("discrepancy(512) < discrepancy(64)",
               discrepancies[512] - discrepancies[64], 0.0,
@@ -140,8 +140,9 @@ def criterion_5():
     gammas_db = np.arange(0.0, 41.0, 5.0)
     gammas = [10.0 ** (g / 10.0) for g in gammas_db]
     spec = mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 16.0)
-    mi_r, mi_p, _, _ = _paired_grid_stats(spec, 0.5, gammas, 20_000, seed=505)
-    loss = mi_r - mi_p
+    s = mc.trial_stats(spec, mc.ProjectorSpec("receive", 0.5), gammas, 20_000,
+                       505, ("mi",))
+    loss = s.mi_ref - s.mi_proj
     means = np.mean(loss, axis=1)
     ses = np.std(loss, axis=1, ddof=1) / math.sqrt(loss.shape[1])
     worst = 0.0

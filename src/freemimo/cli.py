@@ -3,9 +3,6 @@
 SNR is expressed in dB on the command line and converted to linear scale
 once at parse time.  Exit codes: 0 success, 1 validation error, 2 numeric
 failure, 3 acceptance-suite failure (verify only).
-
-The FREEMIMO_THREADS environment variable sets the default trial-level
-thread count (results are identical for any value).
 """
 
 import argparse

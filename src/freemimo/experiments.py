@@ -26,10 +26,10 @@ from .infotheory import harmonic_mean_measure
 from .montecarlo import (
     EnsembleSpec,
     ProjectorSpec,
-    apply_projector,
     ergodic_deviation,
+    kept_count,
     limiting_family,
-    sample_matrix,
+    trial_stats,
 )
 from .spectra import (
     BernoulliProjector,
@@ -89,7 +89,7 @@ class ExperimentConfig:
         if self.fmt not in ("csv", "json"):
             errors.append(f"format: must be csv or json, got {self.fmt!r}")
         p = self.params
-        def positive(name, kind=float):
+        def positive(name, kind=float, minimum=None):
             if name in p:
                 try:
                     val = kind(p[name])
@@ -98,7 +98,9 @@ class ExperimentConfig:
                     return
                 if val <= 0:
                     errors.append(f"{name}: must be positive, got {p[name]}")
-        positive("trials", int)
+                elif minimum is not None and val < minimum:
+                    errors.append(f"{name}: must be >= {minimum}, got {p[name]}")
+        positive("trials", int, minimum=2)
         positive("sigma2")
         positive("n", int)
         positive("rows", int)
@@ -184,60 +186,6 @@ def _ensemble(params, rows, cols, default_sigma2):
     return EnsembleSpec(kind, rows, cols, sigma2)
 
 
-def _paired_grid_stats(spec, beta, gammas, trials, seed):
-    """One pass over trials; per-gamma reference/projected statistics.
-
-    Draws each trial once (common random numbers across the whole gamma
-    grid), eigendecomposes the reference and row-projected Grams, and
-    evaluates mutual information and multiplexing rate for every gamma.
-    Returns arrays of shape (len(gammas), trials).
-
-    Trials are batched through numpy's stacked eigvalsh in chunks when the
-    system is small; per-trial draws still come from their own counter-keyed
-    streams, so results are identical to the one-at-a-time path.
-    """
-    t_cols = spec.cols
-    proj = ProjectorSpec("receive", beta)
-    gam = np.asarray(gammas, dtype=float)
-    mi_ref = np.empty((gam.size, trials))
-    mi_proj = np.empty((gam.size, trials))
-    mr_ref = np.empty((gam.size, trials))
-    mr_proj = np.empty((gam.size, trials))
-
-    chunk = max(1, min(trials, int(2 ** 22 / max(spec.rows * spec.cols, 1))))
-
-    def small_gram_stack(stack):
-        """Gram matrices on the smaller orientation for a (k, r, t) stack."""
-        _, r, t = stack.shape
-        if r < t:
-            return stack @ stack.conj().transpose(0, 2, 1)
-        return stack.conj().transpose(0, 2, 1) @ stack
-
-    def fill(block, offset, out_mi, out_mr):
-        w = np.linalg.eigvalsh(small_gram_stack(block))
-        w = np.maximum(w, 0.0)
-        t_dim = block.shape[2]
-        tol = w[:, -1:] * t_dim * 2.0 ** -40
-        nz_mask = w > tol
-        for i, g in enumerate(gam):
-            out_mi[i, offset:offset + block.shape[0]] = \
-                np.sum(np.log2(1.0 + g * w), axis=1) / t_cols
-            logs = np.where(nz_mask, np.log2(np.where(nz_mask, g * w, 1.0)), 0.0)
-            out_mr[i, offset:offset + block.shape[0]] = \
-                np.sum(logs, axis=1) / t_cols
-
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        draws = [sample_matrix(spec, seed, done + j) for j in range(k)]
-        block = np.stack(draws)
-        fill(block, done, mi_ref, mr_ref)
-        proj_block = np.stack([apply_projector(h, proj) for h in draws])
-        fill(proj_block, done, mi_proj, mr_proj)
-        done += k
-    return mi_ref, mi_proj, mr_ref, mr_proj
-
-
 def _mean_se(a, axis=-1):
     return (np.mean(a, axis=axis),
             np.std(a, axis=axis, ddof=1) / math.sqrt(a.shape[axis]))
@@ -251,15 +199,15 @@ def _run_loss_curve(params, seed):
     gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 2.0)))
     spec = _ensemble(params, rows, cols, default_sigma2=float(rows))
     gammas = [db_to_linear(g) for g in gammas_db]
-    mi_r, mi_p, mr_r, mr_p = _paired_grid_stats(spec, beta, gammas, trials, seed)
-    loss = (mi_r - mi_p) * cols  # total bits over all transmit antennas
+    s = trial_stats(spec, ProjectorSpec("receive", beta), gammas, trials, seed)
+    loss = (s.mi_ref - s.mi_proj) * cols  # total bits, all transmit antennas
     table_rows = []
     for i, gdb in enumerate(gammas_db):
         lm, ls = _mean_se(loss[i])
         table_rows.append([
             float(gdb),
-            float(np.mean(mi_r[i])), float(np.mean(mr_r[i])),
-            float(np.mean(mi_p[i])), float(np.mean(mr_p[i])),
+            float(np.mean(s.mi_ref[i])), float(np.mean(s.mr_ref[i])),
+            float(np.mean(s.mi_proj[i])), float(np.mean(s.mr_proj[i])),
             float(lm), float(ls),
         ])
     return ["gamma_db", "mi_ref_bits", "mr_ref_bits", "mi_proj_bits",
@@ -274,13 +222,12 @@ def _run_loss_convergence(params, seed):
     trials = int(params.get("trials", 200))
     asym = binary_entropy_loss(phi, beta)
     table_rows = []
+    proj = ProjectorSpec("receive", beta)
     for n in n_list:
-        cols = max(1, round(phi * n))
-        spec = _ensemble(params, n, cols, default_sigma2=1.0)
+        spec = _ensemble(params, n, kept_count(phi, n), default_sigma2=1.0)
         with _row_context("loss-convergence", n=n):
-            mi_r, mi_p, _, _ = _paired_grid_stats(spec, beta, [gamma],
-                                                  trials, seed)
-        mean, se = _mean_se(mi_r[0] - mi_p[0])
+            s = trial_stats(spec, proj, [gamma], trials, seed, ("mi",))
+        mean, se = _mean_se(s.mi_ref[0] - s.mi_proj[0])
         table_rows.append([n, float(mean), float(se), asym,
                            abs(float(mean) - asym)])
     return ["n", "loss_mc_bits", "stderr_bits", "loss_asymptotic_bits",
@@ -337,8 +284,9 @@ def _run_monotonicity(params, seed):
     gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 5.0)))
     spec = _ensemble(params, rows, cols, default_sigma2=float(rows))
     gammas = [db_to_linear(g) for g in gammas_db]
-    mi_r, mi_p, _, _ = _paired_grid_stats(spec, beta, gammas, trials, seed)
-    loss = mi_r - mi_p  # per transmit antenna
+    s = trial_stats(spec, ProjectorSpec("receive", beta), gammas, trials, seed,
+                    ("mi",))
+    loss = s.mi_ref - s.mi_proj  # per transmit antenna
     table_rows = []
     prev_mean = None
     prev_se = 0.0

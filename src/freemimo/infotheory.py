@@ -17,7 +17,11 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import integrate, integrate_log_singular_upper
-from .spectra import EmpiricalSpectrum, binary_entropy
+from .spectra import (
+    EmpiricalSpectrum,
+    binary_entropy,
+    default_zero_tolerance,
+)
 
 _LN2 = math.log(2.0)
 _Z_CLAMP = 1e-18
@@ -80,9 +84,11 @@ def decompose(spec, gamma):
 
 
 def _gram_smaller_side(h):
-    """The Gram matrix on the smaller of the two orientations."""
-    r, t = h.shape
-    return h @ h.conj().T if r < t else h.conj().T @ h
+    """The Gram matrix on the smaller of the two orientations, of a matrix
+    or of each matrix in a stack."""
+    r, t = h.shape[-2:]
+    hh = h.conj().swapaxes(-1, -2)
+    return h @ hh if r < t else hh @ h
 
 
 def mutual_info_finite(h, gamma):
@@ -116,7 +122,7 @@ def multiplexing_rate_finite(h, gamma, zero_tolerance=None):
     t = h.shape[1]
     if zero_tolerance is None:
         # Same rank rule as EmpiricalSpectrum, on the nominal T-dim Gram.
-        zero_tolerance = float(np.max(w, initial=0.0)) * t * 2.0 ** -40
+        zero_tolerance = default_zero_tolerance(w, t)
     nz = w[w > zero_tolerance]
     if nz.size == 0:
         return 0.0

@@ -3,22 +3,21 @@
 Reproducibility contract.  Every sampling operation is a pure function of
 (spec, seed, trial): trial t draws from a Philox4x64 counter-based generator
 keyed by the 64-bit seed with initial counter (0, 0, t, 0), so trials are
-independent streams that can be evaluated in any order or thread and still
-reproduce bit-identically.  Trial reductions (mean, standard error) are
-computed over an array indexed by trial, which numpy sums in a fixed order.
-
-Set FREEMIMO_THREADS=<n> to evaluate trials on a thread pool; results do not
-depend on the setting.
+independent streams that reproduce bit-identically.  ``trial_stats`` is the
+one Monte Carlo engine: it stacks trials in chunks and factors each stack in
+one batched LAPACK call, and every matrix of a stack is factored on its own,
+so chunking never changes a result byte.  Trial reductions (mean, standard
+error) are computed over an array indexed by trial, which numpy sums in a
+fixed order.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import multiplexing_rate_finite, mutual_info_finite
+from .errors import DomainError
+from .infotheory import _gram_smaller_side
 from .spectra import Dirac, EmpiricalSpectrum, FreeProduct, SquareIidGram
 
 ENSEMBLE_KINDS = (
@@ -28,7 +27,11 @@ ENSEMBLE_KINDS = (
     "product_iid",
 )
 
-THREADS_ENV_VAR = "FREEMIMO_THREADS"
+STATS = ("mi", "mr")
+
+# Trials are stacked in chunks of about this many bytes of complex draws: one
+# 512 x 512 draw, so large systems still run one trial at a time.
+CHUNK_BYTES = 4 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,22 @@ class ProjectorSpec:
 
 
 @dataclass(frozen=True)
+class TrialStats:
+    """Per-trial statistics, each of shape (len(gammas), trials).
+
+    ``mi_*`` is the mutual information and ``mr_*`` the multiplexing rate,
+    in bits per transmit antenna of the reference draw (``*_ref``) or of
+    its projection (``*_proj``).  Statistics that were not requested, and
+    the projected ones when there is no projector, are None.
+    """
+
+    mi_ref: np.ndarray | None = None
+    mi_proj: np.ndarray | None = None
+    mr_ref: np.ndarray | None = None
+    mr_proj: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class ErgodicEstimate:
     """Monte Carlo mean with its standard error and provenance."""
 
@@ -126,15 +145,14 @@ def sample_matrix(spec, seed, trial=0):
 
 
 def apply_projector(h, proj):
-    """Keep the leading rows (receive side) or columns (transmit side)."""
-    r, t = h.shape
+    """Keep the leading rows (receive side) or columns (transmit side) of a
+    matrix or of each matrix in a stack."""
+    r, t = h.shape[-2:]
     if proj.side == "receive":
-        k = kept_count(proj.beta, r)
-        out = h[:k, :]
+        out = h[..., :kept_count(proj.beta, r), :]
     else:
-        k = kept_count(proj.beta, t)
-        out = h[:, :k]
-    if out.shape[0] == 0 or out.shape[1] == 0:
+        out = h[..., :kept_count(proj.beta, t)]
+    if out.shape[-2] == 0 or out.shape[-1] == 0:
         raise ValueError("projector removed every antenna")
     return out
 
@@ -160,64 +178,77 @@ def limiting_family(spec):
     return SquareIidGram(spec.variance)
 
 
-def _thread_count():
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _mutual_info(stack, gammas):
+    """(len(gammas), k) mutual information of a (k, r, t) stack, from the
+    eigenvalues of each smaller-side Gram."""
+    w = np.maximum(np.linalg.eigvalsh(_gram_smaller_side(stack)), 0.0)
+    return np.stack([np.sum(np.log2(1.0 + g * w), axis=1) for g in gammas]
+                    ) / stack.shape[-1]
 
 
-def _run_trials(fn, trials):
-    """Evaluate fn(trial) for trial = 0..trials-1 into a trial-ordered array."""
-    out = np.empty(trials)
+def _multiplexing_rate(stack, gammas):
+    """(len(gammas), k) multiplexing rate of a (k, r, t) stack.
 
-    def one(t):
-        try:
-            out[t] = fn(t)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"trial {t}: {exc}") from exc
+    Every ensemble draw has full rank min(r, t) almost surely, so the rate
+    is (rank log2 gamma + log2 det G) / t with G the smaller-side Gram.  The
+    log-det is 2 sum log2 |R_ii| from a QR factorization of the tall
+    orientation of H itself, which does not square H's condition number.
+    """
+    r, t = stack.shape[-2:]
+    tall = stack if r >= t else stack.swapaxes(-1, -2)
+    upper = np.linalg.qr(tall, mode="r")
+    logdet = 2.0 * np.sum(
+        np.log2(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
+    return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
 
-    workers = _thread_count()
-    if workers == 1:
-        for t in range(trials):
-            one(t)
-        return out
 
-    def chunk(lo_hi):
-        for t in range(*lo_hi):
-            one(t)
+_STAT_FNS = {"mi": _mutual_info, "mr": _multiplexing_rate}
 
-    step = max(1, trials // (4 * workers))
-    ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(chunk, ranges))
-    return out
+
+def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
+    """Per-trial statistics of the reference draw and of its projection.
+
+    Trial t draws ``sample_matrix(spec, master_seed, t)`` once; the same
+    draw feeds the projected system (common random numbers) and every gamma
+    of the grid.  Only the statistics named in ``stats`` (a subset of
+    ``STATS``) are computed.  Returns a ``TrialStats``.
+    """
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    unknown = sorted(set(stats) - set(STATS))
+    if unknown:
+        raise ValueError(f"unknown statistics {unknown}; choose from {STATS}")
+    gam = np.atleast_1d(np.asarray(gammas, dtype=float))
+    if np.any(gam <= 0.0):
+        raise DomainError(f"requires gamma > 0, got {gammas}")
+    sides = ("ref",) if proj is None else ("ref", "proj")
+    out = {f"{stat}_{side}": np.empty((gam.size, trials))
+           for stat in stats for side in sides}
+    chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        block = np.stack([sample_matrix(spec, master_seed, t)
+                          for t in range(lo, hi)])
+        systems = {"ref": block}
+        if proj is not None:
+            systems["proj"] = apply_projector(block, proj)
+        for side, stack in systems.items():
+            for stat in stats:
+                out[f"{stat}_{side}"][:, lo:hi] = _STAT_FNS[stat](stack, gam)
+    return TrialStats(**out)
 
 
 def _estimate(values, master_seed):
     n = values.size
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n))
     return ErgodicEstimate(float(np.mean(values)), stderr, n, master_seed)
-
-
-def _check_trials(trials):
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
 
 
 def ergodic_mutual_info(spec, proj, gamma, trials, master_seed):
     """Ergodic mutual information in bits per transmit antenna of the
     (possibly projected) system."""
-    _check_trials(trials)
-
-    def one(t):
-        h = sample_matrix(spec, master_seed, t)
-        if proj is not None:
-            h = apply_projector(h, proj)
-        return mutual_info_finite(h, gamma)
-
-    return _estimate(_run_trials(one, trials), master_seed)
+    s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mi",))
+    return _estimate((s.mi_ref if proj is None else s.mi_proj)[0], master_seed)
 
 
 def ergodic_loss(spec, proj, gamma, trials, master_seed):
@@ -227,34 +258,20 @@ def ergodic_loss(spec, proj, gamma, trials, master_seed):
     numbers).  Receive side: I(H) - I(P H).  Transmit side the projected term
     is weighted by the kept fraction so both are per reference antenna.
     """
-    _check_trials(trials)
     if proj is None:
         raise ValueError("ergodic_loss requires a projector")
-
-    def one(t):
-        h = sample_matrix(spec, master_seed, t)
-        hp = apply_projector(h, proj)
-        ref = mutual_info_finite(h, gamma)
-        projected = mutual_info_finite(hp, gamma)
-        if proj.side == "transmit":
-            return ref - (hp.shape[1] / h.shape[1]) * projected
-        return ref - projected
-
-    return _estimate(_run_trials(one, trials), master_seed)
+    s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mi",))
+    weight = 1.0
+    if proj.side == "transmit":
+        weight = kept_count(proj.beta, spec.cols) / spec.cols
+    return _estimate(s.mi_ref[0] - weight * s.mi_proj[0], master_seed)
 
 
 def ergodic_multiplexing_rate(spec, proj, gamma, trials, master_seed):
     """Ergodic multiplexing rate (nonzero-eigenvalue log sum) per transmit
     antenna of the (possibly projected) system."""
-    _check_trials(trials)
-
-    def one(t):
-        h = sample_matrix(spec, master_seed, t)
-        if proj is not None:
-            h = apply_projector(h, proj)
-        return multiplexing_rate_finite(h, gamma)
-
-    return _estimate(_run_trials(one, trials), master_seed)
+    s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mr",))
+    return _estimate((s.mr_ref if proj is None else s.mr_proj)[0], master_seed)
 
 
 def ergodic_deviation(spec, beta, gamma, trials, master_seed):
@@ -264,16 +281,9 @@ def ergodic_deviation(spec, beta, gamma, trials, master_seed):
     system minus the kept fraction times the reference multiplexing rate,
     both normalized by N and sharing the same draw.
     """
-    _check_trials(trials)
     if spec.rows != spec.cols:
         raise ValueError("deviation estimation requires a square ensemble")
-    proj = ProjectorSpec("receive", beta)
     frac = kept_count(beta, spec.rows) / spec.rows
-
-    def one(t):
-        h = sample_matrix(spec, master_seed, t)
-        hp = apply_projector(h, proj)
-        return (multiplexing_rate_finite(hp, gamma)
-                - frac * multiplexing_rate_finite(h, gamma))
-
-    return _estimate(_run_trials(one, trials), master_seed)
+    s = trial_stats(spec, ProjectorSpec("receive", beta), [gamma], trials,
+                    master_seed, ("mr",))
+    return _estimate(s.mr_proj[0] - frac * s.mr_ref[0], master_seed)

@@ -48,12 +48,17 @@ def binary_entropy(p):
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def default_zero_tolerance(eigenvalues):
-    """Rank threshold: max eigenvalue * dimension * 2^-40."""
-    n = len(eigenvalues)
-    if n == 0:
+def default_zero_tolerance(eigenvalues, dim=None):
+    """Rank threshold: max eigenvalue * dimension * 2^-40.
+
+    ``dim`` is the nominal Gram dimension; it defaults to the number of
+    eigenvalues.
+    """
+    if len(eigenvalues) == 0:
         return 0.0
-    return float(np.max(eigenvalues)) * n * ZERO_TOL_FACTOR
+    if dim is None:
+        dim = len(eigenvalues)
+    return float(np.max(eigenvalues)) * dim * ZERO_TOL_FACTOR
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from freemimo import cli
+from freemimo import montecarlo as mc
 from freemimo.errors import ConvergenceError
 from freemimo.experiments import (
     ExperimentConfig,
@@ -33,6 +35,13 @@ def test_unknown_experiment_rejected():
     assert ExperimentConfig("nonsense").validate()
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig("nonsense"))
+
+
+def test_trials_below_two_rejected():
+    for trials in (1, 0):
+        errors = ExperimentConfig("loss-curve", {"trials": trials}).validate()
+        assert len(errors) == 1 and errors[0].startswith("trials:")
+    assert not ExperimentConfig("loss-curve", {"trials": 2}).validate()
 
 
 def test_gamma_grid_must_increase():
@@ -94,6 +103,19 @@ def test_loss_convergence_rows():
         vals = dict(zip(table.columns, row))
         assert vals["discrepancy_bits"] == abs(
             vals["loss_mc_bits"] - vals["loss_asymptotic_bits"])
+
+
+def test_loss_convergence_keeps_half_up_column_count():
+    # n=5, phi=0.5 gives T=3 (round half up), as kept_count does.
+    cfg = ExperimentConfig("loss-convergence",
+                           {"n_list": [5], "phi": 0.5, "beta": 0.75,
+                            "gamma_db": 40.0, "trials": 50, "master_seed": 4})
+    table = run_experiment(cfg)
+    s = mc.trial_stats(mc.EnsembleSpec("iid_complex_gaussian", 5, 3, 1.0),
+                       mc.ProjectorSpec("receive", 0.75), [1e4], 50, 4,
+                       ("mi",))
+    assert table.column("loss_mc_bits") == [
+        float(np.mean(s.mi_ref[0] - s.mi_proj[0]))]
 
 
 def test_product_additivity_row():
@@ -210,6 +232,18 @@ def test_cli_validation_error(tmp_path, capsys):
                      str(tmp_path / "x.csv")])
     assert code == 1
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["loss-curve", "monotonicity",
+                                        "loss-convergence"])
+def test_cli_single_trial_is_validation_error(experiment, tmp_path, capsys):
+    code = cli.main([experiment, "--trials", "1", "--out",
+                     str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "trials:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):

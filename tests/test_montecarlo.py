@@ -8,7 +8,6 @@ from freemimo import asymptotics as asy
 from freemimo import infotheory as it
 from freemimo import montecarlo as mc
 from freemimo import spectra as sp
-from freemimo.experiments import _paired_grid_stats
 
 LN2 = math.log(2.0)
 
@@ -202,8 +201,9 @@ def test_finite_size_losses_match_digamma_oracle():
     for n, trials in ((16, 4000), (64, 800)):
         t_cols, kept = n // 2, int(0.75 * n)
         spec = mc.EnsembleSpec("iid_complex_gaussian", n, t_cols, 1.0)
-        mi_r, mi_p, _, _ = _paired_grid_stats(spec, 0.75, [gamma], trials, 42)
-        loss = mi_r[0] - mi_p[0]
+        s = mc.trial_stats(spec, mc.ProjectorSpec("receive", 0.75), [gamma],
+                           trials, 42, ("mi",))
+        loss = s.mi_ref[0] - s.mi_proj[0]
         mean = float(np.mean(loss))
         se = float(np.std(loss, ddof=1) / math.sqrt(trials))
         ks = np.arange(t_cols)
@@ -229,8 +229,9 @@ def test_sup_property_of_deviation():
     n, beta, trials = 256, 0.5, 40
     spec = mc.EnsembleSpec("iid_complex_gaussian", n, n, 1.0)
     gammas = [1.0, 1e2, 1e4, 1e6]
-    mi_r, mi_p, _, _ = _paired_grid_stats(spec, beta, gammas, trials, 91)
-    dev = mi_p - beta * mi_r
+    s = mc.trial_stats(spec, mc.ProjectorSpec("receive", beta), gammas, trials,
+                       91, ("mi",))
+    dev = s.mi_proj - beta * s.mi_ref
     means = np.mean(dev, axis=1)
     ses = np.std(dev, axis=1, ddof=1) / math.sqrt(trials)
     for i in range(1, len(gammas)):
@@ -248,16 +249,86 @@ def test_limiting_family_map():
         mc.EnsembleSpec("iid_real_gaussian", 8, 4)), sp.SquareIidGram)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
-    proj = mc.ProjectorSpec("receive", 0.5)
-    base = mc.ergodic_loss(spec, proj, 100.0, 64, 17)
-    monkeypatch.setenv(mc.THREADS_ENV_VAR, "4")
-    threaded = mc.ergodic_loss(spec, proj, 100.0, 64, 17)
-    assert base == threaded
-
-
 def test_trials_floor():
     with pytest.raises(ValueError):
         mc.ergodic_mutual_info(mc.EnsembleSpec("haar_unitary", 4, 4),
                                None, 1.0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched trial kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, proj", [
+    (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
+     mc.ProjectorSpec("transmit", 0.5)),
+    (mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
+     mc.ProjectorSpec("receive", 0.75)),
+    (mc.EnsembleSpec("haar_unitary", 16, 16), mc.ProjectorSpec("receive", 0.5)),
+], ids=["complex4x2", "real4x2", "transmit2x4", "complex64x32", "haar16"])
+def test_trial_stats_match_reference_path(spec, proj):
+    # Both reference routes work on a Gram matrix, which squares the
+    # condition number kappa of H; their own rounding is about
+    # eps * kappa^2, so that is allowed on top of 1e-12.
+    gammas = [1.0, 1e3, 1e8]
+    trials = 60
+    s = mc.trial_stats(spec, proj, gammas, trials, 5)
+    for t in range(trials):
+        h = mc.sample_matrix(spec, 5, t)
+        for m, mi, mr in ((h, s.mi_ref, s.mr_ref),
+                          (mc.apply_projector(h, proj), s.mi_proj, s.mr_proj)):
+            tol = 1e-12 + np.finfo(float).eps * np.linalg.cond(m) ** 2
+            for i, g in enumerate(gammas):
+                assert abs(mi[i, t] - it.mutual_info_finite(m, g)) < tol
+                assert abs(mr[i, t] - it.multiplexing_rate_finite(m, g)) < tol
+
+
+def test_trial_stats_only_computes_requested():
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0)
+    s = mc.trial_stats(spec, None, [10.0], 4, 1, ("mr",))
+    assert s.mr_ref.shape == (1, 4)
+    assert s.mi_ref is None and s.mi_proj is None and s.mr_proj is None
+    with pytest.raises(ValueError):
+        mc.trial_stats(spec, None, [10.0], 4, 1, ("capacity",))
+    with pytest.raises(ValueError):
+        mc.trial_stats(spec, None, [10.0], 1, 1)
+
+
+def test_trial_stats_chunking_never_changes_a_byte(monkeypatch):
+    # 64x32 complex draws stack 128 to a chunk, so 300 trials span three
+    # chunks and 130 trials two.
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0)
+    proj = mc.ProjectorSpec("receive", 0.75)
+    gammas = [10.0, 1e4]
+    full = mc.trial_stats(spec, proj, gammas, 300, 8)
+    prefix = mc.trial_stats(spec, proj, gammas, 130, 8)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
+    one_at_a_time = mc.trial_stats(spec, proj, gammas, 300, 8)
+    for name in ("mi_ref", "mi_proj", "mr_ref", "mr_proj"):
+        assert np.array_equal(getattr(full, name)[:, :130],
+                              getattr(prefix, name))
+        assert np.array_equal(getattr(full, name),
+                              getattr(one_at_a_time, name))
+
+
+def test_product_multiplexing_rate_matches_slogdet():
+    # The Gram of a product of two 512x512 factors has genuine eigenvalues
+    # below spectra.default_zero_tolerance; a rank rule would drop them and
+    # bias the rate.
+    n, gamma = 512, 1e6
+    spec = mc.EnsembleSpec("product_iid", n, n, 1.0, factors=2)
+    proj = mc.ProjectorSpec("receive", 0.5)
+    s = mc.trial_stats(spec, proj, [gamma], 3, 307, ("mr",))
+    for t in range(3):
+        h = mc.sample_matrix(spec, 307, t)
+        hp = mc.apply_projector(h, proj)
+        _, logdet = np.linalg.slogdet(h)
+        _, logdet_p = np.linalg.slogdet(hp @ hp.conj().T)
+        ref = (n * math.log2(gamma) + 2.0 * logdet / LN2) / n
+        proj_ref = (hp.shape[0] * math.log2(gamma) + logdet_p / LN2) / n
+        assert abs(s.mr_ref[0, t] - ref) < 1e-9
+        assert abs(s.mr_proj[0, t] - proj_ref) < 1e-9
