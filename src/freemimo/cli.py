@@ -120,11 +120,12 @@ def _print_verify_lines(table):
     for row in table.rows:
         cid, name, measured, tol, passed = row
         by_criterion.setdefault(cid, []).append((name, measured, tol, passed))
+    seconds = table.metadata["criterion_seconds"]
     all_ok = True
     for cid, checks in by_criterion.items():
         ok = all(c[3] for c in checks)
         all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {cid}")
+        print(f"{'PASS' if ok else 'FAIL'} {cid} ({seconds[cid]:.1f} s)")
         for name, measured, tol, passed in checks:
             mark = "ok" if passed else "FAIL"
             print(f"    [{mark}] {name}: measured={measured:.6g} "

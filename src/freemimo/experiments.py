@@ -3,8 +3,9 @@
 Each experiment consumes a validated ``ExperimentConfig`` and produces a
 ``ResultTable`` whose rows are plain JSON scalars; ``emit`` writes CSV or
 JSON.  Identical (config, seed) re-runs reproduce output files byte for byte,
-except for the wall-clock metadata field (JSON only), which is excluded from
-the determinism guarantee.
+except for the wall-clock metadata fields (JSON only: ``wall_clock_s``, and
+``criterion_seconds`` for ``verify``), which are excluded from the
+determinism guarantee.
 """
 
 import json
@@ -347,7 +348,9 @@ def _run_verify(params, seed):
         for check in res.checks:
             table_rows.append([res.id, check.name, check.measured,
                                check.tolerance, int(check.passed)])
-    return ["criterion", "check", "measured", "tolerance", "passed"], table_rows
+    seconds = {res.id: res.seconds for res in results}
+    return (["criterion", "check", "measured", "tolerance", "passed"],
+            table_rows, {"criterion_seconds": seconds})
 
 
 _RUNNERS = {
@@ -368,8 +371,11 @@ def run_experiment(config):
         raise ValueError("invalid config: " + "; ".join(errors))
     seed = int(config.params.get("master_seed", 20260808))
     start = time.monotonic()
-    columns, rows = _RUNNERS[config.experiment](config.params, seed)
+    # A runner may also return a dict of wall-clock metadata, which like
+    # wall_clock_s is outside the determinism guarantee.
+    columns, rows, *timings = _RUNNERS[config.experiment](config.params, seed)
     meta = _metadata(config, seed)
+    meta.update(*timings)
     meta["wall_clock_s"] = time.monotonic() - start
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 

@@ -3,12 +3,23 @@
 Reproducibility contract.  Every sampling operation is a pure function of
 (spec, seed, trial): trial t draws from a Philox4x64 counter-based generator
 keyed by the 64-bit seed with initial counter (0, 0, t, 0), so trials are
-independent streams that reproduce bit-identically.  ``trial_stats`` is the
-one Monte Carlo engine: it stacks trials in chunks and factors each stack in
-one batched LAPACK call, and every matrix of a stack is factored on its own,
-so chunking never changes a result byte.  Trial reductions (mean, standard
+independent streams that reproduce bit-identically.  ``trial_stats`` builds
+one such Philox per call and re-keys it for each trial by setting its
+counter, which yields exactly the stream of ``trial_rng(seed, t)``;
+``sample_matrix`` is the one-trial case of the same sampling path.  The
+engine stacks trials in chunks, fills each chunk's normals trial by trial
+and transforms them in one step, then factors the stack in one batched
+LAPACK call.  Every matrix of a stack is drawn and factored on its own, so
+chunking never changes a result byte.  Trial reductions (mean, standard
 error) are computed over an array indexed by trial, which numpy sums in a
 fixed order.
+
+Factorizations.  Mutual information at a single gamma is a log-det from a
+Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
+grid of gammas it comes from one ``eigvalsh`` of G per draw.  The
+multiplexing rate is a log-det of H itself: an LU factorization
+(``slogdet``) for square H and a QR factorization of the tall orientation
+otherwise.  Neither squares H's condition number.
 """
 
 import math
@@ -29,9 +40,11 @@ ENSEMBLE_KINDS = (
 
 STATS = ("mi", "mr")
 
-# Trials are stacked in chunks of about this many bytes of complex draws: one
-# 512 x 512 draw, so large systems still run one trial at a time.
-CHUNK_BYTES = 4 * 2 ** 20
+# Trials are stacked in chunks of about this many bytes of complex draws; a
+# draw over 128 KiB runs one trial at a time.  Small chunks keep each
+# chunk's temporaries in memory the allocator reuses: at 4 MiB, a 3000-trial
+# 64 x 32 call took ~48,000 page faults and 1.3x the time.
+CHUNK_BYTES = 256 * 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -118,30 +131,99 @@ def kept_count(beta, dim):
     return max(1, int(math.floor(beta * dim + 0.5)))
 
 
+class _TrialStreams:
+    """One Philox keyed by a master seed, re-keyed to each trial's stream.
+
+    Re-keying sets the counter to (0, 0, t, 0) with an empty buffer, the
+    state ``trial_rng(master_seed, t)`` starts from, at a fraction of the
+    cost of building a new generator.
+    """
+
+    def __init__(self, master_seed):
+        rng = trial_rng(master_seed)
+        self._bits = rng.bit_generator
+        self._start = self._bits.state
+        self._normal = rng.standard_normal
+        self._paused = {}
+
+    def fill(self, out, trials, resume=False, pause=False):
+        """Fill out[i] with standard normals from the stream of trials[i]:
+        from its start, or with ``resume`` from where the last call with
+        ``pause`` left that stream."""
+        bits, start, normal = self._bits, self._start, self._normal
+        for i, trial in enumerate(trials):
+            if resume:
+                bits.state = self._paused.pop(trial)
+            else:
+                start["state"]["counter"][2] = trial
+                bits.state = start
+            normal(out=out[i])
+            if pause:
+                self._paused[trial] = bits.state
+
+
+def _complex_draws(streams, trials, scale, out, resume=False, pause=False):
+    """Fill out, a (len(trials), r, t) complex stack, with scale * (re + 1j
+    im), each trial's re then im normals drawn from its stream in one call.
+
+    The normals fill the output's own memory, re block then im block per
+    trial, and are then spread in place to (re, im) pairs: the im block is
+    copied out, and re value j moves to slot 2j in blocks [n/2, n),
+    [n/4, n/2), ..., each landing at or above every value still to move.
+    So no second buffer of normals is needed: the peak is the draws plus
+    half of them, not twice them.
+    """
+    k, n = len(trials), out[0].size
+    flat = out.view(float).reshape(k, 2 * n)
+    streams.fill(flat, trials, resume, pause)
+    flat *= scale
+    im = flat[:, n:].copy()
+    hi = n
+    while hi > 0:
+        lo = hi // 2
+        flat[:, 2 * lo:2 * hi:2] = flat[:, lo:hi]
+        hi = lo
+    flat[:, 1::2] = im
+    return out
+
+
+def _sample_chunk(spec, streams, trials, spent=None):
+    """(len(trials), rows, cols) stack of the draws of the given trials.
+
+    ``spent`` is an earlier stack of the same spec, at least as long, that
+    is no longer needed; the draws are written into its memory.  Each
+    trial's draw is the same whichever chunk it falls in.  A product draws
+    its factors in order from each trial's stream, one factor across the
+    whole chunk at a time.
+    """
+    r, t = spec.rows, spec.cols
+    k = len(trials)
+    real = spec.kind == "iid_real_gaussian"
+    out = (np.empty((k, r, t), dtype=float if real else complex)
+           if spent is None else spent[:k])
+    if real:
+        streams.fill(out, trials)
+        return np.multiply(out, math.sqrt(spec.variance / r), out=out)
+    if spec.kind == "haar_unitary":
+        q, upper = np.linalg.qr(_complex_draws(streams, trials, 1.0, out))
+        d = np.diagonal(upper, axis1=-2, axis2=-1)
+        # Phase correction makes the QR draw exactly Haar-distributed.
+        return np.multiply(q, (d / np.abs(d))[:, None, :], out=out)
+    # iid_complex_gaussian, or product_iid: the left-to-right product of
+    # square factors.
+    scale = math.sqrt(spec.variance / (2.0 * r))
+    layers = spec.factors if spec.kind == "product_iid" else 1
+    h = _complex_draws(streams, trials, scale, out, pause=layers > 1)
+    for layer in range(1, layers):
+        f = _complex_draws(streams, trials, scale, np.empty_like(out),
+                           resume=True, pause=layer + 1 < layers)
+        h = h @ f
+    return h
+
+
 def sample_matrix(spec, seed, trial=0):
     """Draw one channel matrix; bit-identical for identical (spec, seed, trial)."""
-    rng = trial_rng(seed, trial)
-    r, t = spec.rows, spec.cols
-    if spec.kind == "iid_complex_gaussian":
-        scale = math.sqrt(spec.variance / (2.0 * r))
-        return scale * (rng.standard_normal((r, t))
-                        + 1j * rng.standard_normal((r, t)))
-    if spec.kind == "iid_real_gaussian":
-        return math.sqrt(spec.variance / r) * rng.standard_normal((r, t))
-    if spec.kind == "haar_unitary":
-        z = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
-        q, upper = np.linalg.qr(z)
-        d = np.diagonal(upper)
-        # Phase correction makes the QR draw exactly Haar-distributed.
-        return q * (d / np.abs(d))
-    # product_iid: left-to-right product of square factors drawn in order.
-    scale = math.sqrt(spec.variance / (2.0 * r))
-    h = None
-    for _ in range(spec.factors):
-        f = scale * (rng.standard_normal((r, r))
-                     + 1j * rng.standard_normal((r, r)))
-        h = f if h is None else h @ f
-    return h
+    return _sample_chunk(spec, _TrialStreams(seed), [trial])[0]
 
 
 def apply_projector(h, proj):
@@ -179,26 +261,46 @@ def limiting_family(spec):
 
 
 def _mutual_info(stack, gammas):
-    """(len(gammas), k) mutual information of a (k, r, t) stack, from the
-    eigenvalues of each smaller-side Gram."""
-    w = np.maximum(np.linalg.eigvalsh(_gram_smaller_side(stack)), 0.0)
+    """(len(gammas), k) mutual information of a (k, r, t) stack.
+
+    One gamma takes a Cholesky log-det of I + gamma G, with G the
+    smaller-side Gram; a grid, or an I + gamma G that rounds to singular at
+    extreme SNR, takes the eigenvalues of G once for every gamma.
+    """
+    t = stack.shape[-1]
+    gram = _gram_smaller_side(stack)
+    if gammas.size == 1:
+        a = gammas[0] * gram
+        a += np.eye(gram.shape[-1])
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+            return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / t
+    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     return np.stack([np.sum(np.log2(1.0 + g * w), axis=1) for g in gammas]
-                    ) / stack.shape[-1]
+                    ) / t
 
 
 def _multiplexing_rate(stack, gammas):
     """(len(gammas), k) multiplexing rate of a (k, r, t) stack.
 
     Every ensemble draw has full rank min(r, t) almost surely, so the rate
-    is (rank log2 gamma + log2 det G) / t with G the smaller-side Gram.  The
-    log-det is 2 sum log2 |R_ii| from a QR factorization of the tall
-    orientation of H itself, which does not square H's condition number.
+    is (rank log2 gamma + log2 det G) / t with G the smaller-side Gram.
+    log2 det G = 2 log2 |det H| comes from an LU factorization (``slogdet``)
+    of a square H, and otherwise from 2 sum log2 |R_ii| of a QR
+    factorization of the tall orientation of H.
     """
     r, t = stack.shape[-2:]
-    tall = stack if r >= t else stack.swapaxes(-1, -2)
-    upper = np.linalg.qr(tall, mode="r")
-    logdet = 2.0 * np.sum(
-        np.log2(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
+    if r == t:
+        logdet = 2.0 * np.linalg.slogdet(stack)[1] / math.log(2.0)
+    else:
+        tall = stack if r > t else stack.swapaxes(-1, -2)
+        upper = np.linalg.qr(tall, mode="r")
+        logdet = 2.0 * np.sum(
+            np.log2(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
     return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
 
 
@@ -224,11 +326,14 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     sides = ("ref",) if proj is None else ("ref", "proj")
     out = {f"{stat}_{side}": np.empty((gam.size, trials))
            for stat in stats for side in sides}
+    streams = _TrialStreams(master_seed)
     chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
+    block = None
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        block = np.stack([sample_matrix(spec, master_seed, t)
-                          for t in range(lo, hi)])
+        # Each chunk is drawn into the memory of the last, whose statistics
+        # are taken: one stack is alive at a time and its pages stay mapped.
+        block = _sample_chunk(spec, streams, range(lo, hi), block)
         systems = {"ref": block}
         if proj is not None:
             systems["proj"] = apply_projector(block, proj)

@@ -260,7 +260,7 @@ def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
     from freemimo import acceptance
 
     def fake_run_all(only=None):
-        res = acceptance.CriterionResult("C0", "stub")
+        res = acceptance.CriterionResult("C0", "stub", seconds=2.5)
         res.check("stub check", 0.5, 1.0)
         return [res]
 
@@ -271,7 +271,8 @@ def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["rows"][0]["criterion"] == "C0"
     assert report["rows"][0]["passed"] == 1
-    assert "PASS C0" in capsys.readouterr().out
+    assert report["metadata"]["criterion_seconds"] == {"C0": 2.5}
+    assert "PASS C0 (2.5 s)" in capsys.readouterr().out
 
     def fake_run_all_fail(only=None):
         res = acceptance.CriterionResult("C0", "stub")

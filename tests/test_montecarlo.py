@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,30 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, mc.sample_matrix(spec, 99, trial=4))
     assert not np.array_equal(a, mc.sample_matrix(spec, 100, trial=3))
+
+
+# sha256 of sample_matrix(EnsembleSpec(kind, rows, cols, 2.0), 12345, trial=7)
+# as little-endian bytes.  Gaussian draws are Philox normals times a scale,
+# so any change to stream selection or scaling shows here; the odd sizes
+# cover a re/im split that is not a power of two.  Haar and product draws go
+# through LAPACK/BLAS and are left unpinned.
+PINNED_DRAWS = {
+    ("iid_complex_gaussian", 8, 4):
+        "bc77bcb848e224906d06005bd1e1f2faec90bcbc45c0602b650e8dae5952bd04",
+    ("iid_complex_gaussian", 3, 5):
+        "eed0b6b9f1a55b30a3595a30c7b0c9aa7c0d9c293b0dca78d3a35643c8cfd055",
+    ("iid_real_gaussian", 8, 4):
+        "71c5419dca3702a977c94fc13a1bfb9550367dade992f84c656aa76e17981e5f",
+    ("iid_real_gaussian", 5, 3):
+        "145a00bf3a9c0d8746fa84acf8fe79cceb2ab7a7a5aaae34af656e77198dc8e0",
+}
+
+
+@pytest.mark.parametrize("kind, rows, cols", sorted(PINNED_DRAWS))
+def test_gaussian_draw_bytes_are_pinned(kind, rows, cols):
+    h = mc.sample_matrix(mc.EnsembleSpec(kind, rows, cols, 2.0), 12345, trial=7)
+    data = np.ascontiguousarray(h, dtype=h.dtype.newbyteorder("<")).tobytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_DRAWS[kind, rows, cols]
 
 
 def test_haar_unitarity():
@@ -271,20 +296,23 @@ def test_trials_floor():
     (mc.EnsembleSpec("haar_unitary", 16, 16), mc.ProjectorSpec("receive", 0.5)),
 ], ids=["complex4x2", "real4x2", "transmit2x4", "complex64x32", "haar16"])
 def test_trial_stats_match_reference_path(spec, proj):
+    # A grid takes the eigenvalue route and one gamma the Cholesky route.
     # Both reference routes work on a Gram matrix, which squares the
     # condition number kappa of H; their own rounding is about
     # eps * kappa^2, so that is allowed on top of 1e-12.
-    gammas = [1.0, 1e3, 1e8]
     trials = 60
-    s = mc.trial_stats(spec, proj, gammas, trials, 5)
-    for t in range(trials):
-        h = mc.sample_matrix(spec, 5, t)
-        for m, mi, mr in ((h, s.mi_ref, s.mr_ref),
-                          (mc.apply_projector(h, proj), s.mi_proj, s.mr_proj)):
-            tol = 1e-12 + np.finfo(float).eps * np.linalg.cond(m) ** 2
-            for i, g in enumerate(gammas):
-                assert abs(mi[i, t] - it.mutual_info_finite(m, g)) < tol
-                assert abs(mr[i, t] - it.multiplexing_rate_finite(m, g)) < tol
+    for gammas in ([1.0, 1e3, 1e8], [1e3]):
+        s = mc.trial_stats(spec, proj, gammas, trials, 5)
+        for t in range(trials):
+            h = mc.sample_matrix(spec, 5, t)
+            for m, mi, mr in ((h, s.mi_ref, s.mr_ref),
+                              (mc.apply_projector(h, proj), s.mi_proj,
+                               s.mr_proj)):
+                tol = 1e-12 + np.finfo(float).eps * np.linalg.cond(m) ** 2
+                for i, g in enumerate(gammas):
+                    assert abs(mi[i, t] - it.mutual_info_finite(m, g)) < tol
+                    assert abs(mr[i, t]
+                               - it.multiplexing_rate_finite(m, g)) < tol
 
 
 def test_trial_stats_only_computes_requested():
@@ -299,8 +327,8 @@ def test_trial_stats_only_computes_requested():
 
 
 def test_trial_stats_chunking_never_changes_a_byte(monkeypatch):
-    # 64x32 complex draws stack 128 to a chunk, so 300 trials span three
-    # chunks and 130 trials two.
+    # 64x32 complex draws stack 8 to a chunk, so 300 trials span 38 chunks
+    # and a 130-trial run ends mid-chunk.
     spec = mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0)
     proj = mc.ProjectorSpec("receive", 0.75)
     gammas = [10.0, 1e4]
@@ -332,3 +360,67 @@ def test_product_multiplexing_rate_matches_slogdet():
         proj_ref = (hp.shape[0] * math.log2(gamma) + logdet_p / LN2) / n
         assert abs(s.mr_ref[0, t] - ref) < 1e-9
         assert abs(s.mr_proj[0, t] - proj_ref) < 1e-9
+
+
+def test_one_gamma_mutual_info_falls_back_when_cholesky_fails():
+    # At gamma = 1e30, I + gamma G of this rank-one Gram rounds to a
+    # singular matrix: Cholesky fails, and the one-gamma route must give
+    # the grid route's value instead of raising.
+    stack = np.ones((1, 4, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        it.mutual_info_finite(stack[0], 1e30)
+    one = mc._mutual_info(stack, np.array([1e30]))
+    grid = mc._mutual_info(stack, np.array([1e30, 1.0]))
+    assert np.array_equal(one[0], grid[0])
+    assert abs(one[0, 0] - math.log2(8e30) / 2) < 1e-12
+
+
+def _qr_logdet_bits(h):
+    upper = np.linalg.qr(h, mode="r")
+    return 2.0 * float(np.sum(np.log2(np.abs(np.diagonal(upper)))))
+
+
+@pytest.mark.parametrize("spec, trials", [
+    (mc.EnsembleSpec("iid_complex_gaussian", 8, 8, 1.0), 40),
+    (mc.EnsembleSpec("product_iid", 8, 8, 1.0, factors=3), 40),
+    (mc.EnsembleSpec("haar_unitary", 16, 16), 20),
+    (mc.EnsembleSpec("product_iid", 512, 512, 1.0, factors=2), 2),
+], ids=["iid8", "product8x3", "haar16", "product512"])
+def test_square_multiplexing_rate_lu_matches_qr(spec, trials):
+    # Square draws take an LU log-det (slogdet); the rectangular route's QR
+    # log-det of the same draw is the reference.
+    n, gamma = spec.rows, 1e6
+    s = mc.trial_stats(spec, None, [gamma], trials, 17, ("mr",))
+    for t in range(trials):
+        h = mc.sample_matrix(spec, 17, t)
+        ref = (n * math.log2(gamma) + _qr_logdet_bits(h)) / n
+        assert abs(s.mr_ref[0, t] - ref) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    mc.EnsembleSpec("iid_complex_gaussian", 3, 5, 2.0),
+    mc.EnsembleSpec("iid_real_gaussian", 4, 2, 2.0),
+    mc.EnsembleSpec("haar_unitary", 5, 5),
+    mc.EnsembleSpec("product_iid", 4, 4, 3.0, factors=3),
+], ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("per_chunk", [1, 3, 10])
+def test_engine_draws_match_sample_matrix(monkeypatch, spec, per_chunk):
+    # The engine's chunked draws are byte for byte the one-trial draws,
+    # whether 10 trials run one, three (3+3+3+1) or ten to a chunk.
+    blocks = []
+    sample_chunk = mc._sample_chunk
+
+    def recording(*args):
+        block = sample_chunk(*args)
+        blocks.append(block.copy())
+        return block
+
+    monkeypatch.setattr(mc, "_sample_chunk", recording)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * spec.rows * spec.cols * per_chunk)
+    mc.trial_stats(spec, None, [1.0], 10, 9, ("mr",))
+    assert [len(b) for b in blocks] == [
+        min(per_chunk, 10 - lo) for lo in range(0, 10, per_chunk)]
+    drawn = np.concatenate(blocks)
+    expected = np.stack([mc.sample_matrix(spec, 9, t) for t in range(10)])
+    assert drawn.dtype == expected.dtype
+    assert drawn.tobytes() == expected.tobytes()
