@@ -25,6 +25,7 @@ from .asymptotics import (
 from .errors import ConvergenceError, DomainError
 from .infotheory import harmonic_mean_measure
 from .montecarlo import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     ProjectorSpec,
     ergodic_deviation,
@@ -55,6 +56,9 @@ EXPERIMENTS = (
     "verify",
 )
 
+# Experiments that take a grid of SNRs; the others take one.
+GRID_EXPERIMENTS = ("loss-curve", "monotonicity")
+
 FAMILY_NAMES = ("square_iid", "dirac", "bernoulli", "projector_scaled",
                 "product_iid")
 
@@ -72,65 +76,92 @@ class ExperimentConfig:
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         if raw.get("schema") != CONFIG_SCHEMA:
             raise ValueError(
                 f"config schema must be {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}")
-        output = raw.get("output", {})
+        params, output = raw.get("params", {}), raw.get("output", {})
+        if not isinstance(params, dict) or not isinstance(output, dict):
+            raise ValueError("config params and output must be JSON objects")
         return cls(experiment=raw.get("experiment", ""),
-                   params=dict(raw.get("params", {})),
+                   params=dict(params),
                    out=output.get("path"),
                    fmt=output.get("format", "csv"))
 
     def validate(self):
-        """Return a list of messages, one per offending field; empty if valid."""
+        """Return a list of messages, one per offending field; empty if valid.
+
+        Never raises: a value of the wrong type is reported like one out of
+        range.  Numeric fields take JSON numbers, not strings.
+        """
         errors = []
         if self.experiment not in EXPERIMENTS:
             errors.append(f"experiment: unknown name {self.experiment!r}")
             return errors
         if self.fmt not in ("csv", "json"):
             errors.append(f"format: must be csv or json, got {self.fmt!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            errors.append(f"output.path: must be a string, got {self.out!r}")
         p = self.params
-        def positive(name, kind=float, minimum=None):
-            if name in p:
-                try:
-                    val = kind(p[name])
-                except (TypeError, ValueError):
-                    errors.append(f"{name}: not a number: {p[name]!r}")
-                    return
-                if val <= 0:
-                    errors.append(f"{name}: must be positive, got {p[name]}")
-                elif minimum is not None and val < minimum:
-                    errors.append(f"{name}: must be >= {minimum}, got {p[name]}")
-        positive("trials", int, minimum=2)
-        positive("sigma2")
-        positive("n", int)
-        positive("rows", int)
-        positive("cols", int)
-        positive("m", int)
-        positive("at")
-        if "phi" in p and not 0.0 < float(p["phi"]) <= 1.0:
-            errors.append(f"phi: must be in (0, 1], got {p['phi']}")
-        for key in ("beta", "beta_list"):
-            if key in p:
-                vals = p[key] if isinstance(p[key], (list, tuple)) else [p[key]]
-                for b in vals:
-                    if not 0.0 < float(b) <= 1.0:
-                        errors.append(f"{key}: entries must be in (0, 1], got {b}")
-        if "gamma_db" in p:
-            grid = p["gamma_db"] if isinstance(p["gamma_db"], (list, tuple)) \
-                else [p["gamma_db"]]
-            if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
-                errors.append("gamma_db: grid must be strictly increasing")
-        if "n_list" in p:
-            if not all(int(n) >= 2 for n in p["n_list"]):
-                errors.append(f"n_list: entries must be >= 2, got {p['n_list']}")
-        if "ensemble" in p and p["ensemble"] not in (
-                "iid_complex_gaussian", "iid_real_gaussian", "haar_unitary",
-                "product_iid"):
+
+        def numbers(name, listed=False, integer=False):
+            """The field's values as a list of numbers, or None (with a
+            message unless the field is absent)."""
+            if name not in p:
+                return None
+            raw = p[name]
+            if isinstance(raw, (list, tuple)) and not listed:
+                errors.append(f"{name}: takes one value, got {raw!r}")
+                return None
+            vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
+            kind = "an integer" if integer else "a number"
+            if not vals or not all(_is_number(v, integer) for v in vals):
+                errors.append(f"{name}: not {kind}"
+                              f"{' or a list of them' if listed else ''}: {raw!r}")
+                return None
+            return vals
+
+        for name in ("trials", "n", "rows", "cols", "m", "points", "sigma2",
+                     "at"):
+            vals = numbers(name, integer=name not in ("sigma2", "at"))
+            if vals is None:
+                continue
+            if vals[0] <= 0:
+                errors.append(f"{name}: must be positive, got {p[name]}")
+            elif name == "trials" and vals[0] < 2:
+                errors.append(f"trials: must be >= 2, got {p[name]}")
+        seed = numbers("master_seed", integer=True)
+        if seed is not None and not 0 <= seed[0] < 2 ** 64:
+            errors.append(f"master_seed: must be in [0, 2^64), got {seed[0]}")
+        for name, listed in (("phi", False), ("beta", False),
+                             ("beta_list", True)):
+            vals = numbers(name, listed)
+            if vals is not None and not all(0.0 < v <= 1.0 for v in vals):
+                errors.append(f"{name}: must be in (0, 1], got {p[name]}")
+        grid = numbers("gamma_db", listed=self.experiment in GRID_EXPERIMENTS)
+        if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
+            errors.append("gamma_db: grid must be strictly increasing")
+        n_list = numbers("n_list", listed=True, integer=True)
+        if n_list is not None and not all(n >= 2 for n in n_list):
+            errors.append(f"n_list: entries must be >= 2, got {p['n_list']}")
+        if "ensemble" in p and p["ensemble"] not in ENSEMBLE_KINDS:
             errors.append(f"ensemble: unknown kind {p['ensemble']!r}")
         if "family" in p and p["family"] not in FAMILY_NAMES:
             errors.append(f"family: unknown name {p['family']!r}")
         return errors
+
+
+def _is_number(value, integer=False):
+    """A finite JSON number (not a bool or a string); with ``integer``, one
+    with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(x) and (not integer or x.is_integer())
 
 
 @dataclass
@@ -219,7 +250,7 @@ def _run_loss_convergence(params, seed):
     phi = float(params.get("phi", 0.5))
     beta = float(params.get("beta", 0.75))
     gamma = db_to_linear(float(params.get("gamma_db", 40.0)))
-    n_list = [int(n) for n in params.get("n_list", [64, 128, 256, 512])]
+    n_list = [int(n) for n in _grid(params, "n_list", [64, 128, 256, 512])]
     trials = int(params.get("trials", 200))
     asym = binary_entropy_loss(phi, beta)
     table_rows = []

@@ -16,7 +16,11 @@ fixed order.
 
 Factorizations.  Mutual information at a single gamma is a log-det from a
 Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
-grid of gammas it comes from one ``eigvalsh`` of G per draw.  The
+grid of gammas it comes from one ``eigvalsh`` of G per draw.  One Gram
+product per draw serves the reference and its projection when both Grams
+are indexed by the kept side (e.g. a receive cut of 64 x 32 to 48 x 32):
+the reference Gram is the projected one plus the Gram of the removed
+antennas.  Other cuts give each system its own Gram.  The
 multiplexing rate is a log-det of H itself: an LU factorization
 (``slogdet``) for square H and a QR factorization of the tall orientation
 otherwise.  Neither squares H's condition number.
@@ -260,15 +264,39 @@ def limiting_family(spec):
     return SquareIidGram(spec.variance)
 
 
-def _mutual_info(stack, gammas):
-    """(len(gammas), k) mutual information of a (k, r, t) stack.
+def _paired_grams(block, proj):
+    """Smaller-side Grams of a (k, r, t) stack of draws and of its
+    projection, sharing one Gram product per draw where they can.
 
-    One gamma takes a Cholesky log-det of I + gamma G, with G the
-    smaller-side Gram; a grid, or an I + gamma G that rounds to singular at
-    extreme SNR, takes the eigenvalues of G once for every gamma.
+    A transmit cut keeps the leading rows of W = H^H, whose Grams have the
+    determinants of H's, so both cuts keep the leading k of the a rows of
+    an a x b matrix W.  With k >= b the reference Gram is the projected
+    W_k^H W_k plus the removed rows' Gram (rank update); otherwise each
+    system gets its own Gram.
     """
-    t = stack.shape[-1]
-    gram = _gram_smaller_side(stack)
+    receive = proj.side == "receive"
+    a, b = block.shape[-2:] if receive else block.shape[:0:-1]
+    k = kept_count(proj.beta, a)
+    if k < b:
+        return (_gram_smaller_side(block),
+                _gram_smaller_side(apply_projector(block, proj)))
+    conj = block.conj()
+    w, wh = ((block, conj.swapaxes(-1, -2)) if receive
+             else (conj.swapaxes(-1, -2), block))
+    proj_gram = wh[..., :k] @ w[:, :k]
+    gram = wh[..., k:] @ w[:, k:]
+    gram += proj_gram
+    return gram, proj_gram
+
+
+def _mutual_info(gram, cols, gammas):
+    """(len(gammas), k) mutual information, in bits per transmit antenna of
+    systems with ``cols`` of them, from a (k, n, n) stack of their Grams.
+
+    One gamma takes a Cholesky log-det of I + gamma G; a grid, or an
+    I + gamma G that rounds to singular at extreme SNR, takes the
+    eigenvalues of G once for every gamma.
+    """
     if gammas.size == 1:
         a = gammas[0] * gram
         a += np.eye(gram.shape[-1])
@@ -278,10 +306,10 @@ def _mutual_info(stack, gammas):
             pass
         else:
             diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-            return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / t
+            return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / cols
     w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     return np.stack([np.sum(np.log2(1.0 + g * w), axis=1) for g in gammas]
-                    ) / t
+                    ) / cols
 
 
 def _multiplexing_rate(stack, gammas):
@@ -302,9 +330,6 @@ def _multiplexing_rate(stack, gammas):
         logdet = 2.0 * np.sum(
             np.log2(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
     return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
-
-
-_STAT_FNS = {"mi": _mutual_info, "mr": _multiplexing_rate}
 
 
 def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
@@ -337,9 +362,15 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
         systems = {"ref": block}
         if proj is not None:
             systems["proj"] = apply_projector(block, proj)
-        for side, stack in systems.items():
-            for stat in stats:
-                out[f"{stat}_{side}"][:, lo:hi] = _STAT_FNS[stat](stack, gam)
+        if "mi" in stats:
+            grams = ((_gram_smaller_side(block),) if proj is None
+                     else _paired_grams(block, proj))
+            for (side, stack), gram in zip(systems.items(), grams):
+                out[f"mi_{side}"][:, lo:hi] = _mutual_info(
+                    gram, stack.shape[-1], gam)
+        if "mr" in stats:
+            for side, stack in systems.items():
+                out[f"mr_{side}"][:, lo:hi] = _multiplexing_rate(stack, gam)
     return TrialStats(**out)
 
 

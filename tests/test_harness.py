@@ -49,6 +49,25 @@ def test_gamma_grid_must_increase():
     assert any("gamma_db" in e for e in cfg.validate())
 
 
+VALIDATED_FIELDS = ("trials", "n", "rows", "cols", "m", "points", "sigma2",
+                    "at", "master_seed", "phi", "beta", "beta_list",
+                    "gamma_db", "n_list", "ensemble", "family")
+ODD_VALUES = ("10", None, True, [], [0, "10"], [3, 1], {"a": 1},
+              float("nan"), float("inf"), 10 ** 400, -1, 0, 2.5, [2.5])
+
+
+@pytest.mark.parametrize("experiment", ["loss-curve", "loss-convergence",
+                                        "deviation-sweep", "transforms"])
+def test_validation_never_raises(experiment):
+    # Every field, given a value of the wrong type or out of range, yields
+    # messages naming that field and no exception.
+    for name in VALIDATED_FIELDS:
+        for value in ODD_VALUES:
+            errors = ExperimentConfig(experiment, {name: value}).validate()
+            assert all(e.startswith(f"{name}:") for e in errors), (name, value)
+        assert ExperimentConfig(experiment, {name: "10"}).validate()
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -244,6 +263,44 @@ def test_cli_single_trial_is_validation_error(experiment, tmp_path, capsys):
     assert "trials:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, params, field", [
+    ("loss-curve", {"gamma_db": [0, "10"]}, "gamma_db"),
+    ("loss-convergence", {"gamma_db": [0, 10]}, "gamma_db"),
+    ("loss-convergence", {"phi": "half"}, "phi"),
+    ("loss-curve", {"beta": "0.5"}, "beta"),
+    ("loss-curve", {"beta": [0.5]}, "beta"),
+    ("deviation-sweep", {"beta_list": [0.5, None]}, "beta_list"),
+    ("loss-convergence", {"n_list": [16, "32"]}, "n_list"),
+    ("loss-curve", {"trials": 1e400}, "trials"),
+    ("loss-curve", {"master_seed": -1}, "master_seed"),
+], ids=["mixed-gamma-grid", "one-snr-experiment-grid", "phi", "beta-string",
+        "beta-list", "beta_list", "n_list", "trials-inf", "negative-seed"])
+def test_cli_bad_config_value_is_validation_error(experiment, params, field,
+                                                  tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({
+        "schema": "freemimo-config/1", "experiment": experiment,
+        "params": params,
+        "output": {"path": str(tmp_path / "x.csv"), "format": "csv"},
+    }))
+    code = cli.main([experiment, "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "freemimo-config/1", '
+                                  '"experiment": "loss-curve", "params": [1]}'])
+def test_cli_config_that_is_not_an_object(text, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    assert cli.main(["loss-curve", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "JSON object" in err and "Traceback" not in err
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):

@@ -284,17 +284,38 @@ def test_trials_floor():
 # the batched trial kernel
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec, proj", [
-    (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0),
+# One Gram product per draw serves the reference and its projection when
+# both Grams are indexed by the kept side (a rank update, see
+# montecarlo._paired_grams); every other cut gives each system its own
+# Gram: a transmit cut of a tall draw, a receive cut of a wide or square
+# one, and a cut that flips the smaller side.
+GRAM_RULE_CASES = [
+    ("rank_update", mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0),
      mc.ProjectorSpec("receive", 0.5)),
-    (mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0),
+    ("rank_update", mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0),
      mc.ProjectorSpec("receive", 0.5)),
-    (mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
+    ("rank_update", mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
      mc.ProjectorSpec("transmit", 0.5)),
-    (mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
+    ("rank_update", mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
      mc.ProjectorSpec("receive", 0.75)),
-    (mc.EnsembleSpec("haar_unitary", 16, 16), mc.ProjectorSpec("receive", 0.5)),
-], ids=["complex4x2", "real4x2", "transmit2x4", "complex64x32", "haar16"])
+    ("rank_update", mc.EnsembleSpec("product_iid", 8, 8, 1.0, factors=2),
+     mc.ProjectorSpec("receive", 1.0)),
+    ("separate", mc.EnsembleSpec("haar_unitary", 16, 16),
+     mc.ProjectorSpec("receive", 0.5)),
+    ("separate", mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0),
+     mc.ProjectorSpec("transmit", 0.5)),
+    ("separate", mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    ("separate", mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
+     mc.ProjectorSpec("receive", 0.25)),
+]
+GRAM_RULE_IDS = ["complex4x2", "real4x2", "transmit2x4", "complex64x32",
+                 "product8", "haar16", "transmit4x2", "receive2x4",
+                 "complex64x32-beta0.25"]
+
+
+@pytest.mark.parametrize("spec, proj", [c[1:] for c in GRAM_RULE_CASES],
+                         ids=GRAM_RULE_IDS)
 def test_trial_stats_match_reference_path(spec, proj):
     # A grid takes the eigenvalue route and one gamma the Cholesky route.
     # Both reference routes work on a Gram matrix, which squares the
@@ -313,6 +334,19 @@ def test_trial_stats_match_reference_path(spec, proj):
                     assert abs(mi[i, t] - it.mutual_info_finite(m, g)) < tol
                     assert abs(mr[i, t]
                                - it.multiplexing_rate_finite(m, g)) < tol
+
+
+@pytest.mark.parametrize("rule, spec, proj", GRAM_RULE_CASES,
+                         ids=GRAM_RULE_IDS)
+def test_paired_grams_take_the_named_rule(rule, spec, proj):
+    block = np.stack([mc.sample_matrix(spec, 3, t) for t in range(4)])
+    gram, proj_gram = mc._paired_grams(block, proj)
+    assert (gram.shape == proj_gram.shape) == (rule == "rank_update")
+    # Each Gram has the determinant of its system's own smaller-side Gram.
+    for g, h in ((gram, block), (proj_gram, mc.apply_projector(block, proj))):
+        direct = it._gram_smaller_side(h)
+        assert np.allclose(np.linalg.slogdet(g)[1],
+                           np.linalg.slogdet(direct)[1], rtol=0, atol=1e-9)
 
 
 def test_trial_stats_only_computes_requested():
@@ -369,10 +403,46 @@ def test_one_gamma_mutual_info_falls_back_when_cholesky_fails():
     stack = np.ones((1, 4, 2))
     with pytest.raises(np.linalg.LinAlgError):
         it.mutual_info_finite(stack[0], 1e30)
-    one = mc._mutual_info(stack, np.array([1e30]))
-    grid = mc._mutual_info(stack, np.array([1e30, 1.0]))
+    gram = it._gram_smaller_side(stack)
+    one = mc._mutual_info(gram, 2, np.array([1e30]))
+    grid = mc._mutual_info(gram, 2, np.array([1e30, 1.0]))
     assert np.array_equal(one[0], grid[0])
     assert abs(one[0, 0] - math.log2(8e30) / 2) < 1e-12
+
+
+def test_cholesky_fallback_fires_per_system(monkeypatch):
+    # The reference draws have full rank, but the two kept rows of the
+    # first have rank one (the Gram of the test above), so only the
+    # projected I + gamma G rounds to singular at gamma = 1e30: the
+    # projection falls back to eigvalsh, and the reference keeps its
+    # Cholesky log-det.
+    block = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                      [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]])
+    spec = mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0)
+    proj = mc.ProjectorSpec("receive", 0.5)
+    gamma = 1e30
+    monkeypatch.setattr(mc, "_sample_chunk",
+                        lambda spec, streams, trials, spent=None:
+                        block[:len(trials)])
+    eig_calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spying(a):
+        eig_calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spying)
+    s = mc.trial_stats(spec, proj, [gamma], 2, 0, ("mi",))
+    assert eig_calls == [(2, 2, 2)]
+    with pytest.raises(np.linalg.LinAlgError):
+        it.mutual_info_finite(block[0, :2], gamma)
+    for t in range(2):
+        assert abs(s.mi_ref[0, t] - it.mutual_info_finite(block[t], gamma)
+                   ) < 1e-12
+    w = np.linalg.eigvalsh(it._gram_smaller_side(block[:, :2]))
+    expected = np.sum(np.log2(1.0 + gamma * np.maximum(w, 0.0)), axis=1) / 2
+    assert np.array_equal(s.mi_proj[0], expected)
+    assert abs(s.mi_proj[0, 0] - math.log2(8e30) / 2) < 1e-12
 
 
 def _qr_logdet_bits(h):
