@@ -180,7 +180,7 @@ def criterion_7():
     bern = sp.BernoulliProjector(0.7)
     worst = 0.0
     for z in np.arange(-0.65, -0.04, 0.05):
-        numeric = (z + 1.0) / z * _numeric_psi_inverse(bern, z)
+        numeric = (z + 1.0) / z * sp.invert_psi(bern.psi, z, bern.mean)
         worst = max(worst, abs(numeric - (z + 1.0) / (z + 0.7)))
     res.check("Bernoulli S closed form vs numeric inversion", worst, 1e-12)
 
@@ -229,20 +229,6 @@ def criterion_7():
         worst = max(worst, abs(fd - ident) / abs(ident))
     res.check("dI/dgamma vs (1 - eta)/(gamma ln 2), relative", worst, 1e-6)
     return res
-
-
-def _numeric_psi_inverse(family, y):
-    """Invert a family's closed-form Psi by bisection (test route)."""
-    lo, hi = -1.0, -1e-12
-    while family.psi(lo) > y:
-        lo *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if family.psi(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def criterion_8():

@@ -7,6 +7,7 @@ failure, 3 acceptance-suite failure (verify only).
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,17 +31,35 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+# A start:step:stop SNR grid longer than this is a typo, not an experiment.
+_MAX_GRID_POINTS = 10_000
+
+
+def _parse_list(field, text, kind=float, sep=","):
+    """The values of a list flag; a value that does not parse is an error
+    naming the flag's field."""
+    try:
+        return [kind(x) for x in str(text).split(sep)]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise _CliError(f"{field}: expected {noun}, got {text!r}") from None
+
+
 def _parse_grid(text):
     """Parse '0:2:40' (start:step:stop, inclusive), 'a,b,c', or a scalar."""
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        if len(parts) != 3 or parts[1] <= 0:
-            raise _CliError(f"bad grid spec {text!r}; expected start:step:stop")
-        start, step, stop = parts
-        return [float(v) for v in np.arange(start, stop + 0.5 * step, step)]
-    if "," in text:
-        return [float(x) for x in text.split(",")]
-    return [float(text)]
+    if ":" not in text:
+        return _parse_list("gamma_db", text)
+    parts = _parse_list("gamma_db", text, sep=":")
+    start, step, stop = parts if len(parts) == 3 else (0.0, 0.0, 0.0)
+    grid = []
+    if (step > 0.0 and math.isfinite(start) and math.isfinite(stop + step)
+            and (stop - start) / step < _MAX_GRID_POINTS):
+        grid = [float(v) for v in np.arange(start, stop + 0.5 * step, step)]
+    if not grid:
+        raise _CliError(f"gamma_db: bad grid spec {text!r}; expected "
+                        f"start:step:stop with step > 0, start <= stop and "
+                        f"fewer than {_MAX_GRID_POINTS} points")
+    return grid
 
 
 def _build_parser():
@@ -90,19 +109,17 @@ def _config_from_args(args):
     if args.seed is not None:
         p["master_seed"] = args.seed
     if args.beta is not None:
-        betas = [float(b) for b in str(args.beta).split(",")]
         if args.experiment == "deviation-sweep":
-            p["beta_list"] = betas
+            p["beta_list"] = _parse_list("beta_list", args.beta)
         else:
-            p["beta"] = betas[0]
+            p["beta"] = _parse_list("beta", args.beta)[0]
     if args.phi is not None:
         p["phi"] = args.phi
     if args.n is not None:
-        ns = [int(v) for v in str(args.n).split(",")]
         if args.experiment == "loss-convergence":
-            p["n_list"] = ns
+            p["n_list"] = _parse_list("n_list", args.n, int)
         else:
-            p["n"] = ns[0]
+            p["n"] = _parse_list("n", args.n, int)[0]
     for name in ("ensemble", "sigma2", "m", "rows", "cols", "family", "at",
                  "points"):
         value = getattr(args, name)

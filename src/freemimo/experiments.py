@@ -149,7 +149,29 @@ class ExperimentConfig:
             errors.append(f"ensemble: unknown kind {p['ensemble']!r}")
         if "family" in p and p["family"] not in FAMILY_NAMES:
             errors.append(f"family: unknown name {p['family']!r}")
-        return errors
+        return errors or self._cross_field_errors()
+
+    def _cross_field_errors(self):
+        """Messages for fields that are valid alone but not together."""
+        p = self.params
+        kind = p.get("ensemble", "iid_complex_gaussian")
+        square = kind in ("haar_unitary", "product_iid")
+        if self.experiment in ("loss-curve", "monotonicity"):
+            rows, cols = _receive_shape(p)
+            if square and rows != cols:
+                return [f"rows, cols: {kind} needs a square channel, got "
+                        f"rows={rows}, cols={cols}"]
+        if self.experiment == "loss-convergence":
+            phi, beta = float(p.get("phi", 0.5)), float(p.get("beta", 0.75))
+            errors = []
+            if beta < phi:
+                errors.append(f"beta: must be >= phi = {phi} for "
+                              f"loss-convergence, got {beta}")
+            if square and any(n != t for n, t in _convergence_shapes(p)):
+                errors.append(f"phi: {kind} needs a square channel, so phi "
+                              f"must be 1, got {phi}")
+            return errors
+        return []
 
 
 def _is_number(value, integer=False):
@@ -223,9 +245,20 @@ def _mean_se(a, axis=-1):
             np.std(a, axis=axis, ddof=1) / math.sqrt(a.shape[axis]))
 
 
+def _receive_shape(params):
+    """(rows, cols) of the loss-curve and monotonicity channel."""
+    return int(params.get("rows", 4)), int(params.get("cols", 2))
+
+
+def _convergence_shapes(params):
+    """(n, round-half-up phi n) of each loss-convergence channel."""
+    phi = float(params.get("phi", 0.5))
+    return [(int(n), kept_count(phi, int(n)))
+            for n in _grid(params, "n_list", [64, 128, 256, 512])]
+
+
 def _run_loss_curve(params, seed):
-    rows = int(params.get("rows", 4))
-    cols = int(params.get("cols", 2))
+    rows, cols = _receive_shape(params)
     beta = float(params.get("beta", 0.5))
     trials = int(params.get("trials", 20000))
     gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 2.0)))
@@ -250,13 +283,12 @@ def _run_loss_convergence(params, seed):
     phi = float(params.get("phi", 0.5))
     beta = float(params.get("beta", 0.75))
     gamma = db_to_linear(float(params.get("gamma_db", 40.0)))
-    n_list = [int(n) for n in _grid(params, "n_list", [64, 128, 256, 512])]
     trials = int(params.get("trials", 200))
     asym = binary_entropy_loss(phi, beta)
     table_rows = []
     proj = ProjectorSpec("receive", beta)
-    for n in n_list:
-        spec = _ensemble(params, n, kept_count(phi, n), default_sigma2=1.0)
+    for n, cols in _convergence_shapes(params):
+        spec = _ensemble(params, n, cols, default_sigma2=1.0)
         with _row_context("loss-convergence", n=n):
             s = trial_stats(spec, proj, [gamma], trials, seed, ("mi",))
         mean, se = _mean_se(s.mi_ref[0] - s.mi_proj[0])
@@ -309,8 +341,7 @@ def _run_product_additivity(params, seed):
 
 
 def _run_monotonicity(params, seed):
-    rows = int(params.get("rows", 4))
-    cols = int(params.get("cols", 2))
+    rows, cols = _receive_shape(params)
     beta = float(params.get("beta", 0.5))
     trials = int(params.get("trials", 20000))
     gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 5.0)))

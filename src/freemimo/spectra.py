@@ -3,8 +3,8 @@
 Two kinds of measure coexist here:
 
 * ``EmpiricalSpectrum`` -- the eigenvalues of a finite Gram matrix X^H X,
-  including its zero atoms.  All transforms are evaluated numerically from
-  the eigenvalue list.
+  including its zero atoms.  Transforms are evaluated numerically from the
+  eigenvalue list; ``log_mean`` is the direct mean of log2.
 * ``SpectralFamily`` -- a parametric limiting spectral law described by its
   analytic S-transform.  Concrete variants cover the unit-scale square iid
   Gram law, Dirac masses, Bernoulli projector spectra, the law obtained by
@@ -19,6 +19,11 @@ Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
 
 S is positive and the natural companion of log-spectrum integrals: the mean
 of log2 over a full-rank measure equals -integral_0^1 log2 S(-z) dz.
+
+A family's Psi inverts its closed-form Psi^{-1}, and an empirical Psi^{-1}
+inverts Psi, through one root finder: a walk seeded by Jensen's bound
+|Psi(z)| <= w/(1+w), w = -z * mean, brackets the root, and a secant step
+with a bisection guard narrows the bracket.
 """
 
 import math
@@ -34,9 +39,9 @@ LOG2E = math.log2(math.e)
 # Relative rank threshold for floating-point Gram spectra.
 ZERO_TOL_FACTOR = 2.0 ** -40
 
-# Bisection targets: bracket to width 1e-14 (plus a few ulps for large |z|).
-_BISECT_ABS = 1e-14
-_BISECT_REL = 4e-16
+# Root finding: brackets close to 4 ulps; exp overflows above _MAX_LOG.
+_XTOL = 2.0 ** -50
+_MAX_LOG = 709.0
 
 
 def binary_entropy(p):
@@ -120,8 +125,8 @@ class SpectralFamily:
     """A limiting spectral law on [0, inf) described by an analytic S-transform.
 
     Subclasses provide ``alpha`` and ``s_transform``; Psi and eta (and their
-    inverses) derive from those through monotone bracketing, except where a
-    closed form is overridden.
+    inverses) derive from those, Psi through the numeric inverse of the
+    closed-form Psi^{-1}, except where a closed form is overridden.
     """
 
     @property
@@ -144,7 +149,7 @@ class SpectralFamily:
     def psi(self, z):
         if z >= 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
-        return _invert_psi_inverse(self, z)
+        return _psi_from_inverse(self, z)
 
     def eta(self, gamma):
         if gamma <= 0.0:
@@ -323,25 +328,78 @@ class Restricted(SpectralFamily):
 
 
 # ---------------------------------------------------------------------------
-# numeric inversion helpers
+# numeric inversion
 # ---------------------------------------------------------------------------
 
-def _bisect(fn, target, lo, hi, increasing=True):
-    """Bracketed bisection for a monotone fn; lo < hi must straddle target."""
-    sign = 1.0 if increasing else -1.0
-    for _ in range(400):
-        width = hi - lo
-        mid = -math.sqrt(lo * hi) if (lo < 0.0 and hi < 0.0 and lo / hi > 8.0) \
-            else 0.5 * (lo + hi)
-        if not lo < mid < hi:
+def _log_root(g, target, x_of, u, what):
+    """The x = x_of(u) with g(x) = target < 0, where log(-g(x_of(u))) grows
+    with u and x_of is NaN outside g's domain.  A walk from u, whose steps
+    start at the unit-slope Newton step and double, brackets the root (or
+    meets a non-finite value: ConvergenceError); Illinois false position
+    narrows it to a few ulps, bisecting when the secant leaves the bracket.
+    """
+    log_t = math.log(-target)
+
+    def f(u):
+        x = x_of(u)
+        p = 0.0 if math.isnan(x) else -g(x)
+        return math.log(p) - log_t if p > 0.0 else math.nan
+
+    a, fa = u, f(u)
+    step = -fa
+    for _ in range(200):
+        b = a + math.copysign(max(abs(step), _XTOL * max(1.0, abs(a))), step)
+        fb = f(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise ConvergenceError(f"cannot bracket {what}")
+        if fa == 0.0 or (fb > 0.0) != (fa > 0.0):
             break
-        if width <= _BISECT_ABS + _BISECT_REL * abs(mid):
+        a, fa, step = b, fb, 2.0 * step
+    else:
+        raise ConvergenceError(f"cannot bracket {what}")
+    if fa > 0.0:
+        a, b, fa, fb = b, a, fb, fa
+    side = 0  # f(a) <= 0 < f(b); Illinois halves f at a stale end
+    for _ in range(200):
+        if fa == 0.0 or abs(b - a) <= _XTOL * max(1.0, abs(a), abs(b)):
             break
-        if sign * (fn(mid) - target) < 0.0:
-            lo = mid
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+        fc = f(c)
+        if fc > 0.0:
+            b, fb, fa = c, fc, 0.5 * fa if side > 0 else fa
+            side = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            a, fa, fb = c, fc, 0.5 * fb if side < 0 else fb
+            side = -1
+    return x_of(a if abs(fa) <= abs(fb) else b)
+
+
+def _psi_from_inverse(family, z):
+    """Psi(z) of a family: the y in (-alpha, 0) with Psi^{-1}(y) = z, solved
+    for t = log(-y / (alpha + y)), in which log(-Psi^{-1}) is about linear
+    at both ends, from Jensen's y = -w/(1+w), w = -z * mean, if inside."""
+    a, m = family.alpha, family.mean
+
+    def y_of(t):
+        y = -a / (1.0 + math.exp(-t)) if t > -_MAX_LOG else 0.0
+        return y if -a < y < 0.0 else math.nan
+
+    log_w = math.log(-z) + math.log(m)
+    d = a + (1.0 - a) * z * m  # alpha (1 + w) - w: > 0 iff the bound is inside
+    return _log_root(family.psi_inverse, z, y_of,
+                     log_w - math.log(d) if d > 0.0 else log_w,
+                     f"Psi at z = {z}")
+
+
+def invert_psi(psi, y, mean):
+    """The z < 0 with psi(z) = y, for the Psi-transform psi of a measure
+    with the given mean: solved for log(-z), from the z where Jensen's bound
+    |Psi(z)| <= w/(1+w), w = -z * mean, equals |y|."""
+    return _log_root(
+        psi, y, lambda v: -math.exp(v) if abs(v) < _MAX_LOG else math.nan,
+        math.log(-y) - math.log1p(y) - math.log(mean), f"Psi = {y}")
 
 
 def _psi_empirical(eigenvalues, z):
@@ -351,56 +409,6 @@ def _psi_empirical(eigenvalues, z):
         vals = -w / (1.0 + w)
     vals = np.where(np.isfinite(vals), vals, -1.0)
     return float(np.mean(vals))
-
-
-def _invert_psi_empirical(spec, y):
-    """Solve Psi(z) = y for z < 0 on an empirical spectrum."""
-    psi = lambda z: _psi_empirical(spec.eigenvalues, z)
-    lo = hi = -1.0
-    if psi(-1.0) > y:
-        while psi(lo) > y:
-            lo *= 2.0
-            if lo < -1e290:
-                raise ConvergenceError(f"cannot bracket Psi = {y} from below")
-    else:
-        while psi(hi) < y:
-            hi *= 0.5
-            if hi > -1e-300:
-                raise ConvergenceError(f"cannot bracket Psi = {y} from above")
-    return _bisect(psi, y, lo, hi, increasing=True)
-
-
-def _invert_psi_inverse(family, z):
-    """Solve Psi^{-1}(y) = z for y in (-alpha, 0): evaluates Psi(z) of a family."""
-    a = family.alpha
-    pinv = family.psi_inverse
-    hi = -0.5 * a
-    if pinv(hi) < z:
-        while pinv(hi) < z:
-            hi *= 0.5
-            if hi > -1e-290 * a:
-                raise ConvergenceError(f"cannot bracket Psi at z = {z}")
-        lo = 2.0 * hi
-    else:
-        delta = 0.5 * a
-        lo = -a + delta
-        while pinv(lo) > z:
-            delta *= 0.5
-            lo = -a + delta
-            if delta < 1e-305:
-                raise ConvergenceError(f"cannot bracket Psi at z = {z}")
-        hi = -a + 2.0 * delta if -a + 2.0 * delta < 0.0 else -0.25 * a
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if hi - lo <= 1e-17 * a:
-            break
-        if pinv(mid) < z:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,8 @@ def psi_inverse(measure, y):
         raise DomainError(f"psi_inverse requires y in (-{alpha}, 0), got {y}")
     if isinstance(measure, SpectralFamily):
         return measure.psi_inverse(y)
-    return _invert_psi_empirical(measure, y)
+    return invert_psi(lambda z: _psi_empirical(measure.eigenvalues, z), y,
+                      float(np.mean(measure.eigenvalues)))
 
 
 def s_transform(measure, z):
@@ -438,7 +447,7 @@ def s_transform(measure, z):
         raise DomainError(f"S-transform requires z in (-{alpha}, 0), got {z}")
     if isinstance(measure, SpectralFamily):
         return measure.s_transform(z)
-    return (z + 1.0) / z * _invert_psi_empirical(measure, z)
+    return (z + 1.0) / z * psi_inverse(measure, z)
 
 
 def eta_transform(measure, gamma):
@@ -458,17 +467,20 @@ def eta_inverse(measure, t):
             f"eta_inverse requires t in ({1.0 - alpha}, 1), got {t}")
     if isinstance(measure, SpectralFamily):
         return measure.eta_inverse(t)
-    return -_invert_psi_empirical(measure, t - 1.0)
+    return -psi_inverse(measure, t - 1.0)
 
 
 def log_mean(measure):
     """Mean of log2 over the nonzero spectrum, in bits.
 
-    Evaluated through the S-transform identity
+    An empirical spectrum takes the direct mean of log2 over its nonzero
+    eigenvalues.  A family is evaluated through the S-transform identity
     mean(log2) = -integral_0^1 log2 S(-z) dz applied to the restricted law;
     the integrand's endpoint log singularity is handled by substitution.
     """
     m = measure.restricted()
+    if isinstance(m, EmpiricalSpectrum):
+        return float(np.mean(np.log2(m.eigenvalues)))
     span_clamp = 1e-18
 
     def integrand(z):

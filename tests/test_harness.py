@@ -293,6 +293,40 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["loss-curve", "--ensemble", "haar_unitary"], "rows, cols"),
+    (["monotonicity", "--ensemble", "haar_unitary"], "rows, cols"),
+    (["loss-curve", "--ensemble", "product_iid"], "rows, cols"),
+    (["loss-convergence", "--ensemble", "haar_unitary"], "phi"),
+    (["loss-convergence", "--phi", "0.9"], "beta"),
+    (["loss-curve", "--beta", "abc"], "beta"),
+    (["deviation-sweep", "--beta", "0.5,x"], "beta_list"),
+    (["deviation-sweep", "--n", "abc"], "n"),
+    (["loss-convergence", "--n", "64,1e3"], "n_list"),
+    (["loss-curve", "--gamma-db", "0:a:10"], "gamma_db"),
+    (["loss-curve", "--gamma-db", "10:1:0"], "gamma_db"),
+    (["loss-curve", "--gamma-db", "0:1e-300:10"], "gamma_db"),
+], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
+        "convergence-haar", "convergence-beta-below-phi", "beta-abc",
+        "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
+        "grid-too-long"])
+def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--trials", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_square_ensembles_validate_on_square_shapes():
+    for kind in ("haar_unitary", "product_iid"):
+        assert not ExperimentConfig("loss-curve", {
+            "ensemble": kind, "rows": 4, "cols": 4}).validate()
+        assert not ExperimentConfig("loss-convergence", {
+            "ensemble": kind, "phi": 1.0, "beta": 1.0}).validate()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "freemimo-config/1", '
                                   '"experiment": "loss-curve", "params": [1]}'])
 def test_cli_config_that_is_not_an_object(text, tmp_path, capsys):

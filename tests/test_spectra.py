@@ -5,7 +5,8 @@ import pytest
 
 from freemimo import montecarlo as mc
 from freemimo import spectra as sp
-from freemimo.errors import DomainError
+from freemimo.errors import ConvergenceError, DomainError
+from freemimo.quadrature import integrate_log_singular_upper
 
 LOG2E = math.log2(math.e)
 
@@ -132,6 +133,119 @@ def test_psi_monotone():
 
 
 # ---------------------------------------------------------------------------
+# the root finder against the nested bisection it replaced
+# ---------------------------------------------------------------------------
+
+def _bisection_psi(family, z):
+    """Psi(z) of a family by bracketing and bisecting Psi^{-1}(y) = z on
+    (-alpha, 0) to width 1e-17 alpha: the slow path, kept as an oracle."""
+    a = family.alpha
+    pinv = family.psi_inverse
+    hi = -0.5 * a
+    if pinv(hi) < z:
+        while pinv(hi) < z:
+            hi *= 0.5
+        lo = 2.0 * hi
+    else:
+        delta = 0.5 * a
+        lo = -a + delta
+        while pinv(lo) > z:
+            delta *= 0.5
+            lo = -a + delta
+        hi = -a + 2.0 * delta if -a + 2.0 * delta < 0.0 else -0.25 * a
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= 1e-17 * a:
+            break
+        if pinv(mid) < z:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _CountingInverse(sp.SpectralFamily):
+    """Wraps a family and counts its Psi^{-1} evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    @property
+    def alpha(self):
+        return self.inner.alpha
+
+    def s_transform(self, z):
+        return self.inner.s_transform(z)
+
+    def psi_inverse(self, y):
+        self.calls += 1
+        return self.inner.psi_inverse(y)
+
+
+ROOT_FAMILIES = [
+    sp.Dirac(2.0),
+    sp.BernoulliProjector(0.6),
+    sp.SquareIidGram(2.0),
+    sp.ProjectorScaled(MP, 0.25),
+    sp.ProjectorScaled(MP, 0.5),
+    sp.FreeProduct(MP, sp.SquareIidGram(2.0)),
+    sp.FreeProduct(MP, sp.SquareIidGram(2.0), sp.SquareIidGram(0.5)),
+    sp.ProjectorScaled(MP, 0.5).restricted(),
+]
+ROOT_GRID = [float(z) for z in -np.logspace(-14, 7, 43)]
+
+
+@pytest.mark.parametrize("family", ROOT_FAMILIES,
+                         ids=lambda f: type(f).__name__)
+def test_generic_psi_matches_bisection(family):
+    # SpectralFamily.psi is the generic route even where a subclass has a
+    # closed form.
+    for z in ROOT_GRID:
+        fast = sp.SpectralFamily.psi(family, z)
+        assert -family.alpha < fast < 0.0
+        assert abs(fast - _bisection_psi(family, z)) <= 1e-15, z
+
+
+def test_generic_psi_matches_closed_form():
+    fam = sp.SquareIidGram(2.0)
+    for z in ROOT_GRID:
+        exact = fam.psi(z)
+        assert abs(sp.SpectralFamily.psi(fam, z) - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("family", ROOT_FAMILIES,
+                         ids=lambda f: type(f).__name__)
+def test_psi_inverse_evaluations_per_psi(family):
+    counting = _CountingInverse(family)
+    for z in ROOT_GRID:
+        sp.SpectralFamily.psi(counting, z)
+    assert counting.calls / len(ROOT_GRID) <= 20
+
+
+class _BoundedInverse(sp.SpectralFamily):
+    """A law whose Psi^{-1}(y) = y / (1 + y) never goes below -1."""
+
+    alpha = 0.5
+
+    def s_transform(self, z):
+        return 1.0
+
+
+def test_psi_root_convergence_errors():
+    with pytest.raises(ConvergenceError):
+        sp.SpectralFamily.psi(sp.FreeProduct(MP, MP), -1e-320)
+    with pytest.raises(ConvergenceError):
+        _BoundedInverse().psi(-10.0)
+    # Psi reaches -0.99 only beyond z = -1e308, which overflows.
+    spec = sp.EmpiricalSpectrum(np.array([1e-307, 1.0]), zero_tolerance=0.0)
+    with pytest.raises(ConvergenceError):
+        sp.psi_inverse(spec, -0.99)
+    with pytest.raises(ConvergenceError):
+        sp.psi_inverse(sp.EmpiricalSpectrum(np.array([1.0, 2.0])), -1e-320)
+
+
+# ---------------------------------------------------------------------------
 # S-transform
 # ---------------------------------------------------------------------------
 
@@ -247,10 +361,28 @@ def test_log_mean_against_sampled_eigenvalues():
                - float(np.mean(np.log2(spec.eigenvalues)))) < 0.02
 
 
+def _s_integral_log_mean(spec):
+    """-integral_0^1 log2 S(-z) dz of the restricted spectrum."""
+    m = spec.restricted()
+    return -integrate_log_singular_upper(
+        lambda z: math.log2(sp.s_transform(m, -max(z, 1e-18))), 0.0, 1.0)
+
+
 def test_log_mean_empirical_equals_direct_mean():
-    spec = sp.EmpiricalSpectrum(np.array([0.0, 0.5, 1.0, 2.0, 4.0]))
-    direct = float(np.mean(np.log2([0.5, 1.0, 2.0, 4.0])))
-    assert abs(sp.log_mean(spec) - direct) < 1e-8
+    # log_mean of a sampled spectrum is the direct mean of log2; the
+    # S-transform identity, integrated numerically, must agree with it.
+    draw = mc.empirical_spectrum(
+        mc.EnsembleSpec("iid_complex_gaussian", 1024, 512, 1.0), 42)
+    for spec in (sp.EmpiricalSpectrum(np.array([0.0, 0.5, 1.0, 2.0, 4.0])),
+                 draw):
+        direct = float(np.mean(np.log2(spec.nonzero)))
+        assert sp.log_mean(spec) == direct
+        assert abs(_s_integral_log_mean(spec) - direct) < 1e-8
+
+
+def test_log_mean_all_zero_spectrum():
+    with pytest.raises(DomainError):
+        sp.log_mean(sp.EmpiricalSpectrum(np.zeros(4)))
 
 
 def test_log_mean_additive_under_free_product():
