@@ -45,6 +45,14 @@ def _parse_list(field, text, kind=float, sep=","):
         raise _CliError(f"{field}: expected {noun}, got {text!r}") from None
 
 
+def _parse_one(field, text, kind=float):
+    """The value of a one-value flag; a list is an error naming the field."""
+    values = _parse_list(field, text, kind)
+    if len(values) != 1:
+        raise _CliError(f"{field}: expected one value, got {text!r}")
+    return values[0]
+
+
 def _parse_grid(text):
     """Parse '0:2:40' (start:step:stop, inclusive), 'a,b,c', or a scalar."""
     if ":" not in text:
@@ -112,14 +120,14 @@ def _config_from_args(args):
         if args.experiment == "deviation-sweep":
             p["beta_list"] = _parse_list("beta_list", args.beta)
         else:
-            p["beta"] = _parse_list("beta", args.beta)[0]
+            p["beta"] = _parse_one("beta", args.beta)
     if args.phi is not None:
         p["phi"] = args.phi
     if args.n is not None:
         if args.experiment == "loss-convergence":
             p["n_list"] = _parse_list("n_list", args.n, int)
         else:
-            p["n"] = _parse_list("n", args.n, int)[0]
+            p["n"] = _parse_one("n", args.n, int)
     for name in ("ensemble", "sigma2", "m", "rows", "cols", "family", "at",
                  "points"):
         value = getattr(args, name)

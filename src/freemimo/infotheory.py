@@ -8,6 +8,8 @@ Gram spectrum of an R x T channel H is the T eigenvalues of H^H H and
 
 At high SNR this splits into the multiplexing rate, the restriction of
 log2(gamma * lambda) to nonzero eigenvalues, plus a vanishing remainder.
+For an analytic family both are one integral of log2 S, the multiplexing
+rate being the gamma -> infinity limit of the mutual information.
 """
 
 import math
@@ -16,15 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate, integrate_log_singular_upper
-from .spectra import (
-    EmpiricalSpectrum,
-    binary_entropy,
-    default_zero_tolerance,
-)
+from .quadrature import integrate_log_singular_upper
+from .spectra import EmpiricalSpectrum, default_zero_tolerance
 
 _LN2 = math.log(2.0)
-_Z_CLAMP = 1e-18
 
 
 @dataclass(frozen=True)
@@ -40,42 +37,51 @@ class InfoDecomposition:
 def mutual_info_measure(measure, gamma):
     """Mean of log2(1 + gamma x) over a spectrum, in bits per transmit antenna.
 
-    Empirical spectra are averaged directly.  For analytic families the value
-    is recovered by integrating the eta-transform derivative identity
-    dI/dgamma = (1 - eta(gamma)) / (gamma ln 2), which needs only the
-    S-transform machinery and no explicit density.
+    Empirical spectra are averaged directly.  An analytic family takes one
+    Psi solve, y = Psi(-gamma), and one integral of ln S: substituting
+    y = Psi(-x) in I ln 2 = integral_0^gamma -Psi(-x) dx/x, integrating by
+    parts and using Psi^{-1}(y) = -gamma gives
+
+        I(gamma) = -y log2(gamma) + H(-y) - integral_0^{-y} log2 S(-z) dz,
+
+    which is stationary in y, so the rounding of y moves it only to second
+    order, even where alpha + y is about alpha/gamma.
     """
     if gamma <= 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     if isinstance(measure, EmpiricalSpectrum):
         return float(np.mean(np.log2(1.0 + gamma * measure.eigenvalues)))
-    return _family_mutual_info(measure, gamma)
+    return _s_rate(measure, -measure.psi(-gamma), gamma)
 
 
-def _family_mutual_info(family, gamma):
-    mean = family.mean
-    # Substituting u = e^v, I(gamma) ln2 = integral of (1 - eta(e^v)) dv up
-    # to ln(gamma).  The integrand decays like mean * e^v to the left, so
-    # truncating at e^v = eps/mean discards just under eps.
-    eps = 1e-13
-    v_hi = math.log(gamma)
-    v_lo = math.log(eps / mean)
-    if v_lo >= v_hi:
-        return gamma * mean / _LN2
-
-    def g(v):
-        return -family.psi(-math.exp(v))
-
-    return (integrate(g, v_lo, v_hi, abs_tol=1e-11, rel_tol=1e-11,
-                      initial_splits=4) + eps) / _LN2
+def _s_rate(family, x, gamma):
+    """x log2(gamma) + H(x) - integral_0^x log2 S(-z) dz, for 0 < x <= alpha:
+    the mutual information at x = -Psi(-gamma), the multiplexing rate at
+    x = alpha.  (1 - x) ln(1 - x) is 0 at x = 1, and log1p keeps H(x)
+    accurate for tiny x."""
+    tail = (1.0 - x) * math.log1p(-x) if x < 1.0 else 0.0
+    return (x * (math.log(gamma) - math.log(x)) - tail
+            - _log_s_integral(family, x)) / _LN2
 
 
-def decompose(spec, gamma):
-    """Split an empirical spectrum's mutual information into I0 + delta."""
+def _log_s_integral(family, b):
+    """integral_0^b ln S(-z) dz in nats, for 0 < b <= alpha; ln S may
+    diverge logarithmically at z = alpha."""
+    return integrate_log_singular_upper(
+        lambda z: math.log(family.s_transform(-z)), 0.0, b)
+
+
+def decompose(measure, gamma):
+    """Split mutual information into I0 + delta, where I0 is the
+    multiplexing rate and delta = I - I0 vanishes as gamma grows."""
     if gamma <= 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
-    nz = spec.nonzero
-    t = spec.total_dim
+    if not isinstance(measure, EmpiricalSpectrum):
+        i0 = multiplexing_rate_s(measure, gamma)
+        mi = mutual_info_measure(measure, gamma)
+        return InfoDecomposition(mi, i0, mi - i0, gamma)
+    nz = measure.nonzero
+    t = measure.total_dim
     if nz.size == 0:
         return InfoDecomposition(0.0, 0.0, 0.0, gamma)
     i0 = float(np.sum(np.log2(gamma * nz)) / t)
@@ -130,19 +136,13 @@ def multiplexing_rate_finite(h, gamma, zero_tolerance=None):
 
 
 def multiplexing_rate_s(family, gamma):
-    """Multiplexing rate of a limiting law from its S-transform:
-
-    H(alpha) + alpha log2(gamma) - integral_0^alpha log2 S(-z) dz.
+    """Multiplexing rate of a limiting law from its S-transform,
+    H(alpha) + alpha log2(gamma) - integral_0^alpha log2 S(-z) dz: the
+    gamma -> infinity limit of ``mutual_info_measure``, Psi(-gamma) -> -alpha.
     """
     if gamma <= 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
-    a = family.alpha
-
-    def integrand(z):
-        return math.log2(family.s_transform(-max(z, _Z_CLAMP)))
-
-    tail = integrate_log_singular_upper(integrand, 0.0, a)
-    return binary_entropy(a) + a * math.log2(gamma) - tail
+    return _s_rate(family, family.alpha, gamma)
 
 
 def harmonic_mean_measure(family, t):
@@ -164,12 +164,7 @@ def multiplexing_rate_harmonic(family, beta, gamma):
         raise DomainError(f"requires beta in (0, 1], got {beta}")
     if abs(family.alpha - 1.0) > 1e-12:
         raise DomainError("harmonic-mean route requires a full-rank law")
-
-    def integrand(t):
-        return math.log2(family.s_transform(-max(t, _Z_CLAMP)))
-
-    return beta * math.log2(gamma) - integrate_log_singular_upper(
-        integrand, 0.0, beta)
+    return beta * math.log2(gamma) - _log_s_integral(family, beta) / _LN2
 
 
 def waterfilling_capacity(eigenvalues, gamma):

@@ -403,12 +403,13 @@ def invert_psi(psi, y, mean):
 
 
 def _psi_empirical(eigenvalues, z):
-    """Psi of a discrete spectrum: mean of z x / (1 - z x), safe for huge |z|."""
-    w = -z * eigenvalues
+    """Psi of a discrete spectrum: mean of z x / (1 - z x), safe for huge |z|;
+    a zero eigenvalue contributes 0 even at z = -inf."""
     with np.errstate(invalid="ignore"):
+        w = -z * eigenvalues
         vals = -w / (1.0 + w)
     vals = np.where(np.isfinite(vals), vals, -1.0)
-    return float(np.mean(vals))
+    return float(np.mean(np.where(eigenvalues > 0.0, vals, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,11 @@ def eta_transform(measure, gamma):
         raise DomainError(f"eta requires gamma > 0, got {gamma}")
     if isinstance(measure, SpectralFamily):
         return measure.eta(gamma)
-    return float(np.mean(1.0 / (1.0 + gamma * measure.eigenvalues)))
+    lam = measure.eigenvalues
+    with np.errstate(invalid="ignore"):
+        vals = 1.0 / (1.0 + gamma * lam)
+    # A zero eigenvalue contributes 1, even at gamma = inf.
+    return float(np.mean(np.where(lam > 0.0, vals, 1.0)))
 
 
 def eta_inverse(measure, t):

@@ -306,10 +306,12 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     (["loss-curve", "--gamma-db", "0:a:10"], "gamma_db"),
     (["loss-curve", "--gamma-db", "10:1:0"], "gamma_db"),
     (["loss-curve", "--gamma-db", "0:1e-300:10"], "gamma_db"),
+    (["loss-curve", "--beta", "0.5,0.7"], "beta"),
+    (["deviation-sweep", "--n", "3,4"], "n"),
 ], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
         "convergence-haar", "convergence-beta-below-phi", "beta-abc",
         "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
-        "grid-too-long"])
+        "grid-too-long", "beta-two-values", "n-two-values"])
 def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(argv + ["--trials", "4", "--out", str(out)]) == 1
@@ -317,6 +319,15 @@ def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     assert f"error: {field}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_one_value_flags(tmp_path):
+    out = tmp_path / "x.json"
+    assert cli.main(["loss-curve", "--beta", "0.7", "--n", "3", "--gamma-db",
+                     "10", "--trials", "4", "--format", "json",
+                     "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["metadata"]["params"]
+    assert (params["beta"], params["n"]) == (0.7, 3)
 
 
 def test_square_ensembles_validate_on_square_shapes():

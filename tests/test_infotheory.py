@@ -7,6 +7,7 @@ from freemimo import infotheory as it
 from freemimo import montecarlo as mc
 from freemimo import spectra as sp
 from freemimo.errors import DomainError
+from freemimo.quadrature import integrate
 
 LOG2E = math.log2(math.e)
 MP = sp.SquareIidGram(1.0)
@@ -45,6 +46,116 @@ def test_family_mutual_info_small_gamma_limit():
     assert abs(it.mutual_info_measure(fam, 1e-16) - 2e-16 * LOG2E) < 1e-18
 
 
+def _v_integral_mi(family, gamma):
+    """I(gamma) ln 2 = integral of -Psi(-e^v) dv up to ln(gamma), one Psi
+    root solve per Kronrod node: the slow path, kept as an oracle.  The
+    integrand decays like mean * e^v to the left, so truncating at
+    e^v = eps/mean discards just under eps."""
+    mean = family.mean
+    eps = 1e-13
+    v_hi = math.log(gamma)
+    v_lo = math.log(eps / mean)
+    if v_lo >= v_hi:
+        return gamma * mean / math.log(2.0)
+
+    def g(v):
+        return -family.psi(-math.exp(v))
+
+    return (integrate(g, v_lo, v_hi, abs_tol=1e-11, rel_tol=1e-11,
+                      initial_splits=4) + eps) / math.log(2.0)
+
+
+def _mi_square_iid(gamma):
+    """Closed-form MI of the unit square iid law, from its
+    eta = (1 + r)/(1 + 2 gamma + r), r = sqrt(1 + 4 gamma)."""
+    r = math.sqrt(1.0 + 4.0 * gamma)
+    eta = (1.0 + r) / (1.0 + 2.0 * gamma + r)
+    return (-2.0 * math.log(eta) - (1.0 - eta)) / math.log(2.0)
+
+
+MI_FAMILIES = [
+    sp.Dirac(2.0),
+    sp.BernoulliProjector(0.6),
+    MP,
+    sp.ProjectorScaled(MP, 0.25),
+    sp.ProjectorScaled(MP, 0.5),
+    sp.FreeProduct(MP, MP),
+    sp.FreeProduct(MP, sp.SquareIidGram(2.0), sp.SquareIidGram(0.5)),
+    sp.ProjectorScaled(MP, 0.5).restricted(),
+]
+# 1e-16 to 1e12, plus 65 dB.
+MI_GRID = [10.0 ** e for e in range(-16, 13, 2)] + [10.0 ** 6.5]
+CLOSED_FORM_MI = {
+    "Dirac": lambda g: math.log1p(2.0 * g) / math.log(2.0),
+    "BernoulliProjector": lambda g: 0.6 * math.log1p(g) / math.log(2.0),
+    "SquareIidGram": _mi_square_iid,
+}
+
+
+@pytest.mark.parametrize("family", MI_FAMILIES,
+                         ids=lambda f: type(f).__name__)
+def test_family_mutual_info_matches_v_integral(family):
+    new_err, old_err = [], []
+    exact = CLOSED_FORM_MI.get(type(family).__name__)
+    for gamma in MI_GRID:
+        new = it.mutual_info_measure(family, gamma)
+        old = _v_integral_mi(family, gamma)
+        assert abs(new - old) <= 1e-12, gamma
+        if exact is not None:
+            new_err.append(abs(new - exact(gamma)))
+            old_err.append(abs(old - exact(gamma)))
+    if exact is not None:
+        assert max(new_err) <= max(old_err)
+
+
+@pytest.mark.parametrize("gamma", [1e12, 1e20])  # at 1e20 Dirac's Psi is -1
+def test_family_mutual_info_closed_forms_at_high_snr(gamma):
+    cases = ((sp.Dirac(1.0), math.log2(1.0 + gamma)),
+             (sp.Dirac(3.0), math.log2(1.0 + 3.0 * gamma)),
+             (MP, _mi_square_iid(gamma)),
+             (sp.SquareIidGram(2.0), _mi_square_iid(2.0 * gamma)))
+    for family, exact in cases:
+        mi = it.mutual_info_measure(family, gamma)
+        assert abs(mi - exact) <= 1e-12 * exact
+
+
+class _CountingFactor(sp.SpectralFamily):
+    """Wraps a family and counts its S-transform evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.s_evals = 0
+
+    @property
+    def alpha(self):
+        return self.inner.alpha
+
+    def s_transform(self, z):
+        self.s_evals += 1
+        return self.inner.s_transform(z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: sp.FreeProduct(f, MP),
+    lambda f: sp.ProjectorScaled(f, 0.5),
+], ids=["FreeProduct", "ProjectorScaled"])
+def test_family_mutual_info_one_psi_solve(make, monkeypatch):
+    solves = []
+    log_root = sp._log_root
+
+    def counting_log_root(*args):
+        solves.append(args)
+        return log_root(*args)
+
+    monkeypatch.setattr(sp, "_log_root", counting_log_root)
+    for gamma in MI_GRID:
+        factor = _CountingFactor(MP)
+        solves.clear()
+        it.mutual_info_measure(make(factor), gamma)
+        assert len(solves) == 1, gamma
+        assert factor.s_evals <= 250, gamma
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -66,6 +177,28 @@ def test_decompose_delta_vanishes_at_high_snr():
     deltas = [it.decompose(spec, g).delta for g in (1.0, 1e2, 1e4, 1e8)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
     assert deltas[-1] < 1e-7
+
+
+@pytest.mark.parametrize("family", [sp.Dirac(2.0), MP,
+                                    sp.ProjectorScaled(MP, 0.5),
+                                    sp.FreeProduct(MP, MP)],
+                         ids=lambda f: type(f).__name__)
+def test_decompose_family(family):
+    deltas = []
+    for gamma in (1.0, 1e2, 1e4, 1e8, 1e12):
+        d = it.decompose(family, gamma)
+        assert d.multiplexing_rate == it.multiplexing_rate_s(family, gamma)
+        assert abs(d.multiplexing_rate + d.delta
+                   - it.mutual_info_measure(family, gamma)) < 1e-12
+        deltas.append(d.delta)
+    assert all(a > b for a, b in zip(deltas, deltas[1:]))
+    assert deltas[-1] < 1e-3 * deltas[0]
+
+
+def test_decompose_dirac_delta():
+    for gamma in (1e-3, 1.0, 10.0, 1e4, 1e8, 1e12):
+        d = it.decompose(sp.Dirac(2.0), gamma)
+        assert abs(d.delta - math.log2(1.0 + 1.0 / (2.0 * gamma))) < 1e-12
 
 
 def test_decompose_identity_random_spectra():

@@ -83,6 +83,12 @@ def test_psi_closed_forms():
         sp.psi_transform(MP, 0.5)
 
 
+def test_zero_eigenvalues_at_infinite_argument():
+    spec = sp.EmpiricalSpectrum(np.array([0.0, 1.0]))
+    assert sp.psi_transform(spec, -math.inf) == -0.5
+    assert sp.eta_transform(spec, math.inf) == 0.5
+
+
 def test_psi_against_sampled_spectrum():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0), 11)
