@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics as asy
+from . import experiments as ex
 from . import infotheory as it
 from . import montecarlo as mc
 from . import spectra as sp
@@ -135,25 +136,19 @@ def criterion_4():
 
 
 def criterion_5():
-    """Ergodic loss grows with SNR and is capped by the closed form."""
+    """Ergodic loss grows with SNR and is capped by the closed form: the
+    monotonicity experiment (4x2, beta = 0.5, 0:5:40 dB, 20,000 trials)."""
     res = CriterionResult("C5", "loss monotone in SNR, bounded by closed form")
-    gammas_db = np.arange(0.0, 41.0, 5.0)
-    gammas = [10.0 ** (g / 10.0) for g in gammas_db]
-    spec = mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 16.0)
-    s = mc.trial_stats(spec, mc.ProjectorSpec("receive", 0.5), gammas, 20_000,
-                       505, ("mi",))
-    loss = s.mi_ref - s.mi_proj
-    means = np.mean(loss, axis=1)
-    ses = np.std(loss, axis=1, ddof=1) / math.sqrt(loss.shape[1])
-    worst = 0.0
-    for i in range(1, means.size):
-        slack = 3.0 * (ses[i] + ses[i - 1])
-        worst = max(worst, float(means[i - 1] - means[i] - slack))
+    table = ex.run_experiment(ex.ExperimentConfig(
+        "monotonicity", {"sigma2": 16.0, "master_seed": 505}))
+    means, ses = table.column("loss_bits"), table.column("stderr_bits")
+    worst = max([0.0] + [means[i - 1] - means[i] - 3.0 * (ses[i] + ses[i - 1])
+                         for i in range(1, len(means))])
     res.check("largest monotonicity violation beyond 3*stderr", worst, 0.0,
               passed=worst <= 0.0)
     bound = asy.binary_entropy_loss(0.5, 0.5) + 3.0 * ses[-1]
     res.check("terminal loss <= closed form + 3*stderr",
-              float(means[-1] - bound), 0.0, passed=means[-1] <= bound)
+              means[-1] - bound, 0.0, passed=means[-1] <= bound)
     return res
 
 

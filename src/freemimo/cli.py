@@ -1,12 +1,15 @@
 """Command-line entry point: one subcommand per named experiment.
 
-SNR is expressed in dB on the command line and converted to linear scale
-once at parse time.  Exit codes: 0 success, 1 validation error, 2 numeric
+Each subcommand takes the flags of its experiment's parameter table
+(``experiments.PARAMS``) and no others, plus --config, --out and --format;
+``freemimo <experiment> --help`` lists them with their defaults.  Flag
+values arrive as text and are parsed by their parameter, so a bad value, a
+flag the experiment does not take and a bad config value all name the field.
+SNR is given in dB.  Exit codes: 0 success, 1 validation error, 2 numeric
 failure, 3 acceptance-suite failure (verify only).
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -14,21 +17,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .experiments import (
-    EXPERIMENTS,
+    PARAMS,
     ExperimentConfig,
     emit,
     run_experiment,
 )
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(self.format_usage(), file=sys.stderr, end="")
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 # A start:step:stop SNR grid longer than this is a typo, not an experiment.
@@ -42,97 +41,94 @@ def _parse_list(field, text, kind=float, sep=","):
         return [kind(x) for x in str(text).split(sep)]
     except ValueError:
         noun = "integers" if kind is int else "numbers"
-        raise _CliError(f"{field}: expected {noun}, got {text!r}") from None
+        raise ValueError(f"{field}: expected {noun}, got {text!r}") from None
 
 
-def _parse_one(field, text, kind=float):
-    """The value of a one-value flag; a list is an error naming the field."""
-    values = _parse_list(field, text, kind)
-    if len(values) != 1:
-        raise _CliError(f"{field}: expected one value, got {text!r}")
-    return values[0]
-
-
-def _parse_grid(text):
+def _parse_grid(field, text):
     """Parse '0:2:40' (start:step:stop, inclusive), 'a,b,c', or a scalar."""
     if ":" not in text:
-        return _parse_list("gamma_db", text)
-    parts = _parse_list("gamma_db", text, sep=":")
+        return _parse_list(field, text)
+    parts = _parse_list(field, text, sep=":")
     start, step, stop = parts if len(parts) == 3 else (0.0, 0.0, 0.0)
     grid = []
     if (step > 0.0 and math.isfinite(start) and math.isfinite(stop + step)
             and (stop - start) / step < _MAX_GRID_POINTS):
         grid = [float(v) for v in np.arange(start, stop + 0.5 * step, step)]
     if not grid:
-        raise _CliError(f"gamma_db: bad grid spec {text!r}; expected "
-                        f"start:step:stop with step > 0, start <= stop and "
-                        f"fewer than {_MAX_GRID_POINTS} points")
+        raise ValueError(f"{field}: bad grid spec {text!r}; expected "
+                         f"start:step:stop with step > 0, start <= stop and "
+                         f"fewer than {_MAX_GRID_POINTS} points")
     return grid
+
+
+def _parse_flag(field, param, text):
+    """A flag's text as its parameter's value: a name, one number, a list
+    of numbers, or a grid (one number if it has one point)."""
+    if param.kind == "name":
+        return text
+    if param.kind == "grid":
+        grid = _parse_grid(field, text)
+        return grid if len(grid) > 1 else grid[0]
+    values = _parse_list(field, text, int if param.kind in ("int", "ints")
+                         else float)
+    if param.kind in ("ints", "floats"):
+        return values
+    if len(values) != 1:
+        raise ValueError(f"{field}: expected one value, got {text!r}")
+    return values[0]
+
+
+def _flag(field, param):
+    return param.flag or "--" + field.replace("_", "-")
+
+
+def _shown(default):
+    """A default as its flag would be written."""
+    if isinstance(default, range):
+        return f"{default.start}:{default.step}:{default[-1]}"
+    if isinstance(default, tuple):
+        return ",".join(map(str, default))
+    return str(default)
 
 
 def _build_parser():
     parser = _Parser(prog="freemimo",
                      description="Capacity-scaling experiments for large "
                                  "MIMO systems")
-    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT",
+                                required=True)
+    for experiment, table in PARAMS.items():
+        p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--gamma-db", dest="gamma_db",
-                       help="SNR grid in dB: start:step:stop, list, or value")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--beta", help="kept fraction(s), e.g. 0.5 or 0.25,0.5")
-        p.add_argument("--phi", type=float, help="antenna ratio T/R")
-        p.add_argument("--n", help="system size(s), e.g. 512 or 64,128,256")
-        p.add_argument("--ensemble", help="iid_complex_gaussian, "
-                       "iid_real_gaussian, haar_unitary, product_iid")
-        p.add_argument("--sigma2", type=float, help="ensemble variance scale")
-        p.add_argument("--m", type=int, help="factors in a product ensemble")
-        p.add_argument("--rows", type=int, help="receive antennas R")
-        p.add_argument("--cols", type=int, help="transmit antennas T")
-        p.add_argument("--family", help="spectral family for transforms")
-        p.add_argument("--at", type=float, help="Dirac location")
-        p.add_argument("--points", type=int, help="grid points for transforms")
+        for field, param in table.items():
+            p.add_argument(_flag(field, param), dest=field,
+                           help=f"{param.help} (default: "
+                                f"{_shown(param.default)})")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
     return parser
+
+
+def _unknown_flags(experiment, unknown):
+    """The message for arguments the experiment's subcommand does not take."""
+    fields = [arg[2:].split("=")[0].replace("-", "_") for arg in unknown
+              if arg.startswith("--")]
+    return (f"{', '.join(fields)}: not a parameter of {experiment}" if fields
+            else f"unrecognized arguments: {' '.join(unknown)}")
 
 
 def _config_from_args(args):
     if args.config:
         config = ExperimentConfig.from_file(args.config)
         if config.experiment != args.experiment:
-            raise _CliError(
+            raise ValueError(
                 f"config is for {config.experiment!r}, not {args.experiment!r}")
     else:
         config = ExperimentConfig(experiment=args.experiment)
-
-    p = config.params
-    if args.gamma_db is not None:
-        grid = _parse_grid(args.gamma_db)
-        p["gamma_db"] = grid if len(grid) > 1 else grid[0]
-    if args.trials is not None:
-        p["trials"] = args.trials
-    if args.seed is not None:
-        p["master_seed"] = args.seed
-    if args.beta is not None:
-        if args.experiment == "deviation-sweep":
-            p["beta_list"] = _parse_list("beta_list", args.beta)
-        else:
-            p["beta"] = _parse_one("beta", args.beta)
-    if args.phi is not None:
-        p["phi"] = args.phi
-    if args.n is not None:
-        if args.experiment == "loss-convergence":
-            p["n_list"] = _parse_list("n_list", args.n, int)
-        else:
-            p["n"] = _parse_one("n", args.n, int)
-    for name in ("ensemble", "sigma2", "m", "rows", "cols", "family", "at",
-                 "points"):
-        value = getattr(args, name)
-        if value is not None:
-            p[name] = value
+    for field, param in PARAMS[args.experiment].items():
+        text = getattr(args, field)
+        if text is not None:
+            config.params[field] = _parse_flag(field, param, text)
     if args.out is not None:
         config.out = args.out
     if args.fmt is not None:
@@ -161,24 +157,18 @@ def _print_verify_lines(table):
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.experiment is None:
-            parser.error("an experiment subcommand is required")
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            parser.error(_unknown_flags(args.experiment, unknown))
         config = _config_from_args(args)
         errors = config.validate()
-        if errors:
-            for err in errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 1
-        if config.experiment != "verify" and config.out is None:
-            print("error: --out is required for this experiment",
-                  file=sys.stderr)
-            return 1
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not errors and config.experiment != "verify" and config.out is None:
+            errors = ["--out is required for this experiment"]
+    except (OSError, ValueError) as exc:  # JSON and flag errors too
+        errors = [str(exc)]
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    if errors:
         return 1
 
     try:

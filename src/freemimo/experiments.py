@@ -12,7 +12,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .asymptotics import (
     deviation_from_linear,
     deviation_product_iid,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .infotheory import harmonic_mean_measure
 from .montecarlo import (
     ENSEMBLE_KINDS,
@@ -46,21 +46,151 @@ from .spectra import (
 
 CONFIG_SCHEMA = "freemimo-config/1"
 
-EXPERIMENTS = (
-    "loss-curve",
-    "loss-convergence",
-    "deviation-sweep",
-    "product-additivity",
-    "monotonicity",
-    "transforms",
-    "verify",
-)
+# The master seed of a run that names none.
+MASTER_SEED = 20260808
 
-# Experiments that take a grid of SNRs; the others take one.
-GRID_EXPERIMENTS = ("loss-curve", "monotonicity")
 
-FAMILY_NAMES = ("square_iid", "dirac", "bernoulli", "projector_scaled",
-                "product_iid")
+def _is_number(value, integer=False):
+    """A finite JSON number (not a bool or a string); with ``integer``, one
+    with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(x) and (not integer or x.is_integer())
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of an experiment.
+
+    ``kind``: "int" or "float" (one number), "ints" or "floats" (one number
+    or a list), "grid" (the same, strictly increasing) or "name" (one of
+    ``domain``).  A numeric ``domain`` is a (description, test) pair that
+    each value must pass, or None.  A numeric ``default`` that names another
+    parameter of the table takes its value.  ``flag`` replaces ``--<name>``.
+    """
+
+    kind: str
+    domain: tuple | None
+    default: object
+    help: str
+    flag: str | None = None
+
+    def error(self, name, raw):
+        """The message for a given value outside this parameter, or None."""
+        if self.kind == "name":
+            return None if raw in self.domain else (
+                f"{name}: must be one of {', '.join(self.domain)}, got {raw!r}")
+        listed = self.kind in ("ints", "floats", "grid")
+        if isinstance(raw, (list, tuple)) and not listed:
+            return f"{name}: takes one value, got {raw!r}"
+        vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
+        integer = self.kind in ("int", "ints")
+        if not vals or not all(_is_number(v, integer) for v in vals):
+            return (f"{name}: not {'an integer' if integer else 'a number'}"
+                    f"{' or a list of them' if listed else ''}: {raw!r}")
+        if self.domain is not None and not all(map(self.domain[1], vals)):
+            return f"{name}: must be {self.domain[0]}, got {raw}"
+        if self.kind == "grid" and any(a >= b for a, b in zip(vals, vals[1:])):
+            return f"{name}: grid must be strictly increasing"
+        return None
+
+    def convert(self, value):
+        """A valid value as runners read it (lists stay lists)."""
+        if self.kind == "name":
+            return value
+        number = int if self.kind in ("int", "ints") else float
+        if self.kind in ("int", "float"):
+            return number(value)
+        return [number(v) for v in
+                ([value] if isinstance(value, (int, float)) else value)]
+
+
+# Spectral families of the transforms experiment, built from its params.
+_FAMILIES = {
+    "square_iid": lambda p: SquareIidGram(p["sigma2"]),
+    "dirac": lambda p: Dirac(p["at"]),
+    "bernoulli": lambda p: BernoulliProjector(p["beta"]),
+    "projector_scaled":
+        lambda p: ProjectorScaled(SquareIidGram(p["sigma2"]), p["beta"]),
+    "product_iid":
+        lambda p: FreeProduct(*[SquareIidGram(p["sigma2"])] * p["m"]),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
+
+_POSITIVE = ("positive", lambda v: v > 0)
+_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
+_AT_LEAST_TWO = (">= 2", lambda v: v >= 2)
+
+# Parameters that several experiments take; a table may change the default.
+TRIALS = Param("int", _AT_LEAST_TWO, 200, "Monte Carlo trials")
+BETA = Param("float", _FRACTION, 0.5, "kept fraction of the antennas")
+GAMMA_DB = Param("float", None, 60.0, "SNR in dB")
+N = Param("int", _POSITIVE, 512, "antennas on each side (n x n channel)")
+M = Param("int", _POSITIVE, 1, "factors in a product channel")
+SIGMA2 = Param("float", _POSITIVE, 1.0, "ensemble variance scale")
+_RUNS = {"trials": TRIALS, "master_seed": Param(
+    "int", ("in [0, 2^64)", lambda v: 0 <= v < 2 ** 64), MASTER_SEED,
+    "master seed", "--seed")}
+_ENSEMBLE = {"ensemble": Param("name", ENSEMBLE_KINDS, "iid_complex_gaussian",
+                               "channel ensemble"),
+             "sigma2": SIGMA2, "m": M}
+
+
+def _receive_table(grid):
+    """loss-curve and monotonicity: one R x T channel, its receive antennas
+    cut to beta R, over an SNR grid."""
+    return {"gamma_db": Param("grid", None, grid, "SNR grid in dB: "
+                              "start:step:stop, a list, or one value"),
+            **_RUNS, "trials": replace(TRIALS, default=20000), "beta": BETA,
+            **_ENSEMBLE, "sigma2": replace(SIGMA2, default="rows"),
+            "rows": Param("int", _POSITIVE, 4, "receive antennas R"),
+            "cols": Param("int", _POSITIVE, 2, "transmit antennas T")}
+
+
+# Every experiment's parameters: validate(), the command-line flags and the
+# runners' values all come from here.  Flags enter metadata.params in table
+# order, so reordering a table changes the bytes of JSON outputs.
+PARAMS = {
+    "loss-curve": _receive_table(range(0, 41, 2)),
+    "loss-convergence": {
+        "gamma_db": replace(GAMMA_DB, default=40.0), **_RUNS,
+        "beta": replace(BETA, default=0.75),
+        "phi": Param("float", _FRACTION, 0.5, "antenna ratio T/R"),
+        "n_list": Param("ints", _AT_LEAST_TWO, (64, 128, 256, 512),
+                        "receive antennas n of each n x phi n channel", "--n"),
+        **_ENSEMBLE},
+    "deviation-sweep": {
+        "gamma_db": GAMMA_DB, **_RUNS,
+        "beta_list": Param("floats", _FRACTION, (0.25, 0.5, 0.75),
+                           "kept fractions of the antennas", "--beta"),
+        "n": N, **_ENSEMBLE},
+    "product-additivity": {"gamma_db": GAMMA_DB, **_RUNS, "beta": BETA, "n": N,
+                           "sigma2": SIGMA2, "m": replace(M, default=2)},
+    "monotonicity": _receive_table(range(0, 41, 5)),
+    "transforms": {
+        "beta": BETA, "sigma2": SIGMA2, "m": replace(M, default=2),
+        "family": Param("name", FAMILY_NAMES, "square_iid", "spectral family"),
+        "at": Param("float", _POSITIVE, 1.0, "Dirac location"),
+        "points": Param("int", _POSITIVE, 25, "grid points")},
+    "verify": {},
+}
+EXPERIMENTS = tuple(PARAMS)
+
+
+def _resolve(experiment, params):
+    """Every parameter of a valid config: the given value, else the
+    default, as runners read it."""
+    table = PARAMS[experiment]
+    values = {name: params.get(name, param.default)
+              for name, param in table.items()}
+    for name, param in table.items():
+        if param.kind != "name" and isinstance(values[name], str):
+            values[name] = values[values[name]]  # e.g. sigma2 = rows
+    return {name: param.convert(values[name]) for name, param in table.items()}
 
 
 @dataclass
@@ -95,95 +225,41 @@ class ExperimentConfig:
         Never raises: a value of the wrong type is reported like one out of
         range.  Numeric fields take JSON numbers, not strings.
         """
-        errors = []
         if self.experiment not in EXPERIMENTS:
-            errors.append(f"experiment: unknown name {self.experiment!r}")
-            return errors
+            return [f"experiment: unknown name {self.experiment!r}"]
+        errors = []
         if self.fmt not in ("csv", "json"):
             errors.append(f"format: must be csv or json, got {self.fmt!r}")
         if self.out is not None and not isinstance(self.out, str):
             errors.append(f"output.path: must be a string, got {self.out!r}")
-        p = self.params
-
-        def numbers(name, listed=False, integer=False):
-            """The field's values as a list of numbers, or None (with a
-            message unless the field is absent)."""
-            if name not in p:
-                return None
-            raw = p[name]
-            if isinstance(raw, (list, tuple)) and not listed:
-                errors.append(f"{name}: takes one value, got {raw!r}")
-                return None
-            vals = list(raw) if isinstance(raw, (list, tuple)) else [raw]
-            kind = "an integer" if integer else "a number"
-            if not vals or not all(_is_number(v, integer) for v in vals):
-                errors.append(f"{name}: not {kind}"
-                              f"{' or a list of them' if listed else ''}: {raw!r}")
-                return None
-            return vals
-
-        for name in ("trials", "n", "rows", "cols", "m", "points", "sigma2",
-                     "at"):
-            vals = numbers(name, integer=name not in ("sigma2", "at"))
-            if vals is None:
-                continue
-            if vals[0] <= 0:
-                errors.append(f"{name}: must be positive, got {p[name]}")
-            elif name == "trials" and vals[0] < 2:
-                errors.append(f"trials: must be >= 2, got {p[name]}")
-        seed = numbers("master_seed", integer=True)
-        if seed is not None and not 0 <= seed[0] < 2 ** 64:
-            errors.append(f"master_seed: must be in [0, 2^64), got {seed[0]}")
-        for name, listed in (("phi", False), ("beta", False),
-                             ("beta_list", True)):
-            vals = numbers(name, listed)
-            if vals is not None and not all(0.0 < v <= 1.0 for v in vals):
-                errors.append(f"{name}: must be in (0, 1], got {p[name]}")
-        grid = numbers("gamma_db", listed=self.experiment in GRID_EXPERIMENTS)
-        if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
-            errors.append("gamma_db: grid must be strictly increasing")
-        n_list = numbers("n_list", listed=True, integer=True)
-        if n_list is not None and not all(n >= 2 for n in n_list):
-            errors.append(f"n_list: entries must be >= 2, got {p['n_list']}")
-        if "ensemble" in p and p["ensemble"] not in ENSEMBLE_KINDS:
-            errors.append(f"ensemble: unknown kind {p['ensemble']!r}")
-        if "family" in p and p["family"] not in FAMILY_NAMES:
-            errors.append(f"family: unknown name {p['family']!r}")
+        table = PARAMS[self.experiment]
+        for name, raw in self.params.items():
+            message = (table[name].error(name, raw) if name in table else
+                       f"{name}: not a parameter of {self.experiment}")
+            if message:
+                errors.append(message)
         return errors or self._cross_field_errors()
 
     def _cross_field_errors(self):
         """Messages for fields that are valid alone but not together."""
-        p = self.params
-        kind = p.get("ensemble", "iid_complex_gaussian")
+        p = _resolve(self.experiment, self.params)
+        kind = p.get("ensemble")
+        errors = []
+        if kind == "haar_unitary" and "sigma2" in self.params:
+            errors.append("sigma2: haar_unitary draws are exactly unitary and "
+                          "take no variance")
         square = kind in ("haar_unitary", "product_iid")
-        if self.experiment in ("loss-curve", "monotonicity"):
-            rows, cols = _receive_shape(p)
-            if square and rows != cols:
-                return [f"rows, cols: {kind} needs a square channel, got "
-                        f"rows={rows}, cols={cols}"]
-        if self.experiment == "loss-convergence":
-            phi, beta = float(p.get("phi", 0.5)), float(p.get("beta", 0.75))
-            errors = []
-            if beta < phi:
-                errors.append(f"beta: must be >= phi = {phi} for "
-                              f"loss-convergence, got {beta}")
+        if square and "rows" in p and p["rows"] != p["cols"]:
+            errors.append(f"rows, cols: {kind} needs a square channel, got "
+                          f"rows={p['rows']}, cols={p['cols']}")
+        if "phi" in p:
+            if p["beta"] < p["phi"]:
+                errors.append(f"beta: must be >= phi = {p['phi']} for "
+                              f"{self.experiment}, got {p['beta']}")
             if square and any(n != t for n, t in _convergence_shapes(p)):
                 errors.append(f"phi: {kind} needs a square channel, so phi "
-                              f"must be 1, got {phi}")
-            return errors
-        return []
-
-
-def _is_number(value, integer=False):
-    """A finite JSON number (not a bool or a string); with ``integer``, one
-    with an integral value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        x = float(value)
-    except OverflowError:
-        return False
-    return math.isfinite(x) and (not integer or x.is_integer())
+                              f"must be 1, got {p['phi']}")
+        return errors
 
 
 @dataclass
@@ -197,17 +273,6 @@ class ResultTable:
     def column(self, name):
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
-
-
-def _metadata(config, seed):
-    return {
-        "schema": CONFIG_SCHEMA,
-        "experiment": config.experiment,
-        "params": dict(config.params),
-        "master_seed": seed,
-        "code_version": __version__,
-        "wall_clock_s": None,  # filled by run_experiment
-    }
 
 
 def db_to_linear(db):
@@ -224,73 +289,53 @@ def _row_context(experiment, **fields):
         raise ConvergenceError(f"{experiment} row ({where}): {exc}") from exc
 
 
-def _grid(params, key, default):
-    raw = params.get(key, default)
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
-    return [float(v) for v in raw]
+def _ensemble(p, rows, cols):
+    factors = p["m"] if p["ensemble"] == "product_iid" else 1
+    return EnsembleSpec(p["ensemble"], rows, cols, p["sigma2"], factors)
 
 
-def _ensemble(params, rows, cols, default_sigma2):
-    kind = params.get("ensemble", "iid_complex_gaussian")
-    sigma2 = float(params.get("sigma2", default_sigma2))
-    m = int(params.get("m", 1))
-    if kind == "product_iid":
-        return EnsembleSpec(kind, rows, cols, sigma2, factors=m)
-    return EnsembleSpec(kind, rows, cols, sigma2)
+def _mean_se(a):
+    """Means and standard errors over the last axis (the trials)."""
+    return (np.mean(a, axis=-1),
+            np.std(a, axis=-1, ddof=1) / math.sqrt(a.shape[-1]))
 
 
-def _mean_se(a, axis=-1):
-    return (np.mean(a, axis=axis),
-            np.std(a, axis=axis, ddof=1) / math.sqrt(a.shape[axis]))
-
-
-def _receive_shape(params):
-    """(rows, cols) of the loss-curve and monotonicity channel."""
-    return int(params.get("rows", 4)), int(params.get("cols", 2))
-
-
-def _convergence_shapes(params):
+def _convergence_shapes(p):
     """(n, round-half-up phi n) of each loss-convergence channel."""
-    phi = float(params.get("phi", 0.5))
-    return [(int(n), kept_count(phi, int(n)))
-            for n in _grid(params, "n_list", [64, 128, 256, 512])]
+    return [(n, kept_count(p["phi"], n)) for n in p["n_list"]]
 
 
-def _run_loss_curve(params, seed):
-    rows, cols = _receive_shape(params)
-    beta = float(params.get("beta", 0.5))
-    trials = int(params.get("trials", 20000))
-    gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 2.0)))
-    spec = _ensemble(params, rows, cols, default_sigma2=float(rows))
-    gammas = [db_to_linear(g) for g in gammas_db]
-    s = trial_stats(spec, ProjectorSpec("receive", beta), gammas, trials, seed)
-    loss = (s.mi_ref - s.mi_proj) * cols  # total bits, all transmit antennas
-    table_rows = []
-    for i, gdb in enumerate(gammas_db):
-        lm, ls = _mean_se(loss[i])
-        table_rows.append([
-            float(gdb),
-            float(np.mean(s.mi_ref[i])), float(np.mean(s.mr_ref[i])),
-            float(np.mean(s.mi_proj[i])), float(np.mean(s.mr_proj[i])),
-            float(lm), float(ls),
-        ])
+def _receive_stats(p, stats):
+    """Trial statistics of the loss-curve and monotonicity channel, its
+    receive antennas cut to beta R, over the SNR grid."""
+    return trial_stats(_ensemble(p, p["rows"], p["cols"]),
+                       ProjectorSpec("receive", p["beta"]),
+                       [db_to_linear(g) for g in p["gamma_db"]], p["trials"],
+                       p["master_seed"], stats)
+
+
+def _run_loss_curve(p):
+    s = _receive_stats(p, ("mi", "mr"))
+    # total bits, all transmit antennas
+    loss, stderr = _mean_se((s.mi_ref - s.mi_proj) * p["cols"])
+    columns = [np.mean(a, axis=-1) for a in
+               (s.mi_ref, s.mr_ref, s.mi_proj, s.mr_proj)] + [loss, stderr]
     return ["gamma_db", "mi_ref_bits", "mr_ref_bits", "mi_proj_bits",
-            "mr_proj_bits", "loss_total_bits", "stderr_bits"], table_rows
+            "mr_proj_bits", "loss_total_bits", "stderr_bits"], [
+        [g] + [float(c[i]) for c in columns]
+        for i, g in enumerate(p["gamma_db"])]
 
 
-def _run_loss_convergence(params, seed):
-    phi = float(params.get("phi", 0.5))
-    beta = float(params.get("beta", 0.75))
-    gamma = db_to_linear(float(params.get("gamma_db", 40.0)))
-    trials = int(params.get("trials", 200))
-    asym = binary_entropy_loss(phi, beta)
+def _run_loss_convergence(p):
+    gamma = db_to_linear(p["gamma_db"])
+    asym = binary_entropy_loss(p["phi"], p["beta"])
     table_rows = []
-    proj = ProjectorSpec("receive", beta)
-    for n, cols in _convergence_shapes(params):
-        spec = _ensemble(params, n, cols, default_sigma2=1.0)
+    proj = ProjectorSpec("receive", p["beta"])
+    for n, cols in _convergence_shapes(p):
+        spec = _ensemble(p, n, cols)
         with _row_context("loss-convergence", n=n):
-            s = trial_stats(spec, proj, [gamma], trials, seed, ("mi",))
+            s = trial_stats(spec, proj, [gamma], p["trials"], p["master_seed"],
+                            ("mi",))
         mean, se = _mean_se(s.mi_ref[0] - s.mi_proj[0])
         table_rows.append([n, float(mean), float(se), asym,
                            abs(float(mean) - asym)])
@@ -298,17 +343,15 @@ def _run_loss_convergence(params, seed):
             "discrepancy_bits"], table_rows
 
 
-def _run_deviation_sweep(params, seed):
-    n = int(params.get("n", 512))
-    betas = _grid(params, "beta_list", [0.25, 0.5, 0.75])
-    gamma = db_to_linear(float(params.get("gamma_db", 60.0)))
-    trials = int(params.get("trials", 200))
-    spec = _ensemble(params, n, n, default_sigma2=1.0)
+def _run_deviation_sweep(p):
+    gamma = db_to_linear(p["gamma_db"])
+    spec = _ensemble(p, p["n"], p["n"])
     family = limiting_family(spec)
     table_rows = []
-    for b in betas:
+    for b in p["beta_list"]:
         with _row_context("deviation-sweep", beta=b):
-            est = ergodic_deviation(spec, b, gamma, trials, seed)
+            est = ergodic_deviation(spec, b, gamma, p["trials"],
+                                    p["master_seed"])
             asym = deviation_from_linear(family, b)
         table_rows.append([b, est.mean, est.stderr, asym,
                            abs(est.mean - asym)])
@@ -316,74 +359,36 @@ def _run_deviation_sweep(params, seed):
             "discrepancy_bits"], table_rows
 
 
-def _run_product_additivity(params, seed):
-    n = int(params.get("n", 512))
-    m = int(params.get("m", 2))
-    beta = float(params.get("beta", 0.5))
-    gamma = db_to_linear(float(params.get("gamma_db", 60.0)))
-    trials = int(params.get("trials", 200))
-    sigma2 = float(params.get("sigma2", 1.0))
-    prod = EnsembleSpec("product_iid", n, n, sigma2, factors=m)
-    est_prod = ergodic_deviation(prod, beta, gamma, trials, seed)
-    single = EnsembleSpec("iid_complex_gaussian", n, n, sigma2)
-    factor_sum = 0.0
-    factor_var = 0.0
-    for k in range(m):
-        est_k = ergodic_deviation(single, beta, gamma, trials, seed + 1 + k)
-        factor_sum += est_k.mean
-        factor_var += est_k.stderr ** 2
+def _run_product_additivity(p):
+    n, m, beta, seed = p["n"], p["m"], p["beta"], p["master_seed"]
+    gamma = db_to_linear(p["gamma_db"])
+    prod = EnsembleSpec("product_iid", n, n, p["sigma2"], factors=m)
+    est_prod = ergodic_deviation(prod, beta, gamma, p["trials"], seed)
+    single = EnsembleSpec("iid_complex_gaussian", n, n, p["sigma2"])
+    ests = [ergodic_deviation(single, beta, gamma, p["trials"], seed + 1 + k)
+            for k in range(m)]
     closed = deviation_product_iid(m, beta)
-    row = [m, beta, est_prod.mean, est_prod.stderr, factor_sum,
-           math.sqrt(factor_var), closed, abs(est_prod.mean - closed)]
+    row = [m, beta, est_prod.mean, est_prod.stderr, sum(e.mean for e in ests),
+           math.sqrt(sum(e.stderr ** 2 for e in ests)), closed,
+           abs(est_prod.mean - closed)]
     return ["m", "beta", "dev_product_bits", "stderr_product_bits",
             "dev_factor_sum_bits", "stderr_factor_sum_bits",
             "dev_closed_form_bits", "discrepancy_bits"], [row]
 
 
-def _run_monotonicity(params, seed):
-    rows, cols = _receive_shape(params)
-    beta = float(params.get("beta", 0.5))
-    trials = int(params.get("trials", 20000))
-    gammas_db = _grid(params, "gamma_db", list(np.arange(0.0, 41.0, 5.0)))
-    spec = _ensemble(params, rows, cols, default_sigma2=float(rows))
-    gammas = [db_to_linear(g) for g in gammas_db]
-    s = trial_stats(spec, ProjectorSpec("receive", beta), gammas, trials, seed,
-                    ("mi",))
-    loss = s.mi_ref - s.mi_proj  # per transmit antenna
-    table_rows = []
-    prev_mean = None
-    prev_se = 0.0
-    for i, gdb in enumerate(gammas_db):
-        mean, se = _mean_se(loss[i])
-        if prev_mean is None:
-            ok = 1
-        else:
-            ok = 1 if mean >= prev_mean - 3.0 * (se + prev_se) else 0
-        table_rows.append([float(gdb), float(mean), float(se), ok])
-        prev_mean, prev_se = mean, se
-    return ["gamma_db", "loss_bits", "stderr_bits", "nondecreasing"], table_rows
+def _run_monotonicity(p):
+    s = _receive_stats(p, ("mi",))
+    loss, stderr = _mean_se(s.mi_ref - s.mi_proj)  # per transmit antenna
+    ok = [1] + [int(loss[i] >= loss[i - 1] - 3.0 * (stderr[i] + stderr[i - 1]))
+                for i in range(1, len(loss))]
+    return ["gamma_db", "loss_bits", "stderr_bits", "nondecreasing"], [
+        [g, float(m), float(e), k]
+        for g, m, e, k in zip(p["gamma_db"], loss, stderr, ok)]
 
 
-def _named_family(params):
-    name = params.get("family", "square_iid")
-    sigma2 = float(params.get("sigma2", 1.0))
-    if name == "square_iid":
-        return SquareIidGram(sigma2)
-    if name == "dirac":
-        return Dirac(float(params.get("at", 1.0)))
-    if name == "bernoulli":
-        return BernoulliProjector(float(params.get("beta", 0.5)))
-    if name == "projector_scaled":
-        return ProjectorScaled(SquareIidGram(sigma2),
-                               float(params.get("beta", 0.5)))
-    if name == "product_iid":
-        return FreeProduct(*[SquareIidGram(sigma2)] * int(params.get("m", 2)))
-    raise DomainError(f"unknown family {name!r}")
-
-
-def _run_transforms(params, seed):
-    family = _named_family(params)
-    points = int(params.get("points", 25))
+def _run_transforms(p):
+    family = _FAMILIES[p["family"]](p)
+    points = p["points"]
     alpha = family.alpha
     table_rows = []
     for i in range(1, points + 1):
@@ -402,7 +407,7 @@ def _run_transforms(params, seed):
             "eta"], table_rows
 
 
-def _run_verify(params, seed):
+def _run_verify(p):
     from . import acceptance
     results = acceptance.run_all()
     table_rows = []
@@ -431,14 +436,17 @@ def run_experiment(config):
     errors = config.validate()
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
-    seed = int(config.params.get("master_seed", 20260808))
+    p = _resolve(config.experiment, config.params)
+    seed = p.get("master_seed", MASTER_SEED)
     start = time.monotonic()
     # A runner may also return a dict of wall-clock metadata, which like
     # wall_clock_s is outside the determinism guarantee.
-    columns, rows, *timings = _RUNNERS[config.experiment](config.params, seed)
-    meta = _metadata(config, seed)
+    columns, rows, *timings = _RUNNERS[config.experiment](p)
+    meta = {"schema": CONFIG_SCHEMA, "experiment": config.experiment,
+            "params": dict(config.params), "master_seed": seed,
+            "code_version": __version__,
+            "wall_clock_s": time.monotonic() - start}
     meta.update(*timings)
-    meta["wall_clock_s"] = time.monotonic() - start
     return ResultTable(columns=columns, rows=rows, metadata=meta)
 
 

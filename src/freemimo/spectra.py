@@ -379,7 +379,9 @@ def _log_root(g, target, x_of, u, what):
 def _psi_from_inverse(family, z):
     """Psi(z) of a family: the y in (-alpha, 0) with Psi^{-1}(y) = z, solved
     for t = log(-y / (alpha + y)), in which log(-Psi^{-1}) is about linear
-    at both ends, from Jensen's y = -w/(1+w), w = -z * mean, if inside."""
+    at both ends, from Jensen's y = -w/(1+w), w = -z * mean, if inside.
+    The start is at most t = 30: past t of about 36.7, alpha + y is below
+    one ulp of alpha and y_of gives NaN, even where the root lies lower."""
     a, m = family.alpha, family.mean
 
     def y_of(t):
@@ -389,7 +391,7 @@ def _psi_from_inverse(family, z):
     log_w = math.log(-z) + math.log(m)
     d = a + (1.0 - a) * z * m  # alpha (1 + w) - w: > 0 iff the bound is inside
     return _log_root(family.psi_inverse, z, y_of,
-                     log_w - math.log(d) if d > 0.0 else log_w,
+                     min(log_w - math.log(d) if d > 0.0 else log_w, 30.0),
                      f"Psi at z = {z}")
 
 

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from freemimo import cli
 from freemimo import montecarlo as mc
 from freemimo.errors import ConvergenceError
 from freemimo.experiments import (
+    PARAMS,
     ExperimentConfig,
     ResultTable,
     emit,
@@ -228,9 +232,24 @@ def test_cli_loss_curve(tmp_path, capsys):
 
 
 def test_cli_grid_parsing():
-    assert cli._parse_grid("0:2:40") == [float(v) for v in range(0, 41, 2)]
-    assert cli._parse_grid("1,2.5,7") == [1.0, 2.5, 7.0]
-    assert cli._parse_grid("30") == [30.0]
+    assert cli._parse_grid("gamma_db", "0:2:40") == [
+        float(v) for v in range(0, 41, 2)]
+    assert cli._parse_grid("gamma_db", "1,2.5,7") == [1.0, 2.5, 7.0]
+    assert cli._parse_grid("gamma_db", "30") == [30.0]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    lines = re.findall(r"^(?:\w+=\S+ )*freemimo (.+)$",
+                       "".join(blocks).replace("\\\n", ""), re.M)
+    assert len(lines) >= 7
+    for line in lines:
+        args = cli._build_parser().parse_args(shlex.split(line))
+        assert not cli._config_from_args(args).validate(), line
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        raw = json.loads(block)
+        assert not ExperimentConfig(raw["experiment"], raw["params"]).validate()
 
 
 def test_cli_missing_out(capsys):
@@ -275,8 +294,10 @@ def test_cli_single_trial_is_validation_error(experiment, tmp_path, capsys):
     ("loss-convergence", {"n_list": [16, "32"]}, "n_list"),
     ("loss-curve", {"trials": 1e400}, "trials"),
     ("loss-curve", {"master_seed": -1}, "master_seed"),
+    ("loss-curve", {"trials": 200, "frobnicate": 1}, "frobnicate"),
 ], ids=["mixed-gamma-grid", "one-snr-experiment-grid", "phi", "beta-string",
-        "beta-list", "beta_list", "n_list", "trials-inf", "negative-seed"])
+        "beta-list", "beta_list", "n_list", "trials-inf", "negative-seed",
+        "unknown-key"])
 def test_cli_bad_config_value_is_validation_error(experiment, params, field,
                                                   tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -308,13 +329,23 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     (["loss-curve", "--gamma-db", "0:1e-300:10"], "gamma_db"),
     (["loss-curve", "--beta", "0.5,0.7"], "beta"),
     (["deviation-sweep", "--n", "3,4"], "n"),
+    (["transforms", "--trials", "5"], "trials"),
+    (["loss-curve", "--family", "dirac"], "family"),
+    (["deviation-sweep", "--ensemble", "haar_unitary", "--sigma2", "2"],
+     "sigma2"),
+    (["loss-curve", "--trials", "x"], "trials"),
 ], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
         "convergence-haar", "convergence-beta-below-phi", "beta-abc",
         "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
-        "grid-too-long", "beta-two-values", "n-two-values"])
+        "grid-too-long", "beta-two-values", "n-two-values",
+        "transforms-trials", "loss-curve-family", "haar-sigma2",
+        "trials-text"])
 def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert cli.main(argv + ["--trials", "4", "--out", str(out)]) == 1
+    # Few trials, in case a bad flag were accepted; the case's own flags
+    # come after and win.
+    few = ["--trials", "4"] if "trials" in PARAMS[argv[0]] else []
+    assert cli.main(argv[:1] + few + argv[1:] + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {field}:" in err
     assert "Traceback" not in err
@@ -322,12 +353,14 @@ def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
 
 
 def test_cli_one_value_flags(tmp_path):
+    # loss-curve reads beta, deviation-sweep n; each flag gives one value.
     out = tmp_path / "x.json"
-    assert cli.main(["loss-curve", "--beta", "0.7", "--n", "3", "--gamma-db",
-                     "10", "--trials", "4", "--format", "json",
-                     "--out", str(out)]) == 0
-    params = json.loads(out.read_text())["metadata"]["params"]
-    assert (params["beta"], params["n"]) == (0.7, 3)
+    for argv, field, value in ((["loss-curve", "--beta", "0.7"], "beta", 0.7),
+                               (["deviation-sweep", "--n", "3"], "n", 3)):
+        assert cli.main(argv + ["--gamma-db", "10", "--trials", "4",
+                                "--format", "json", "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["metadata"]["params"]
+        assert params[field] == value
 
 
 def test_square_ensembles_validate_on_square_shapes():

@@ -119,6 +119,23 @@ def test_family_mutual_info_closed_forms_at_high_snr(gamma):
         assert abs(mi - exact) <= 1e-12 * exact
 
 
+def _mi_free_product(m, gamma):
+    """I(gamma) of m free square iid factors, [-(m+1) ln eta - m(1-eta)]/ln 2,
+    where eta solves gamma eta^(m+1) = 1 - eta (a contraction at high SNR)."""
+    eta = 0.0
+    for _ in range(50):
+        eta = ((1.0 - eta) / gamma) ** (1.0 / (m + 1))
+    return (-(m + 1) * math.log(eta) - m * (1.0 - eta)) / math.log(2.0)
+
+
+@pytest.mark.parametrize("gamma", [1e16, 1e18, 1e30])
+def test_free_product_mutual_info_past_jensen_start(gamma):
+    # Jensen's start lies past t = 36.7 here, where y rounds to -alpha.
+    for m in (2, 3):
+        mi = it.mutual_info_measure(sp.FreeProduct(*[MP] * m), gamma)
+        assert abs(mi - _mi_free_product(m, gamma)) <= 1e-12 * mi
+
+
 class _CountingFactor(sp.SpectralFamily):
     """Wraps a family and counts its S-transform evaluations."""
 

@@ -5,6 +5,7 @@ Neither test runs an experiment: each stops at ``validate()``.
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -13,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemimo import cli
-from freemimo.experiments import (
-    ENSEMBLE_KINDS,
-    EXPERIMENTS,
-    FAMILY_NAMES,
-    ExperimentConfig,
-)
+from freemimo.experiments import EXPERIMENTS, PARAMS, ExperimentConfig
 
 ANY_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -27,9 +23,9 @@ ANY_VALUE = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8)
 
-# A valid value for each field, so that many configs pass the per-field
-# checks and reach the cross-field ones.
-VALID_VALUE = {
+# A valid value of each numeric field (one entry of a list field), so that
+# many configs pass the per-field checks and reach the cross-field ones.
+VALID_NUMBER = {
     "trials": st.integers(2, 10 ** 6),
     "n": st.integers(1, 2048),
     "rows": st.integers(1, 8),
@@ -41,48 +37,50 @@ VALID_VALUE = {
     "master_seed": st.integers(0, 2 ** 64 - 1),
     "phi": st.floats(0.01, 1.0),
     "beta": st.floats(0.01, 1.0),
-    "beta_list": st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
-    "gamma_db": st.floats(-10.0, 80.0)
-    | st.lists(st.floats(-10.0, 80.0), min_size=1, max_size=3),
-    "n_list": st.integers(2, 64)
-    | st.lists(st.integers(2, 64), min_size=1, max_size=3),
-    "ensemble": st.sampled_from(ENSEMBLE_KINDS),
-    "family": st.sampled_from(FAMILY_NAMES),
+    "beta_list": st.floats(0.01, 1.0),
+    "gamma_db": st.floats(-10.0, 80.0),
+    "n_list": st.integers(2, 64),
 }
-PARAMS = st.fixed_dictionaries({}, optional=VALID_VALUE) | st.builds(
-    lambda known, extra: {**extra, **known},
-    st.fixed_dictionaries({}, optional={
-        name: value | ANY_VALUE for name, value in VALID_VALUE.items()}),
-    st.dictionaries(st.text(max_size=8), ANY_VALUE, max_size=2))
+
+
+def _valid(name, param):
+    if param.kind == "name":
+        return st.sampled_from(param.domain)
+    one = VALID_NUMBER[name]
+    if param.kind in ("int", "float"):
+        return one
+    return one | st.lists(one, min_size=1, max_size=3, unique=True).map(sorted)
+
+
+def _params(experiment):
+    """Params of one experiment, drawn from its own table: all valid, or
+    some replaced by any value, plus keys that are no parameter."""
+    valid = {name: _valid(name, param)
+             for name, param in PARAMS[experiment].items()}
+    return st.fixed_dictionaries({}, optional=valid) | st.builds(
+        lambda known, extra: {**extra, **known},
+        st.fixed_dictionaries({}, optional={
+            name: value | ANY_VALUE for name, value in valid.items()}),
+        st.dictionaries(st.text(max_size=8), ANY_VALUE, max_size=2))
+
+
+CONFIGS = st.one_of([st.tuples(st.just(e), _params(e)) for e in EXPERIMENTS]
+                    + [st.tuples(st.just(""), _params("loss-curve"))])
 
 
 @settings(deadline=None, max_examples=300)
-@given(experiment=st.sampled_from(EXPERIMENTS + ("",)), params=PARAMS,
-       out=st.none() | st.text(max_size=8) | st.integers(),
+@given(config=CONFIGS, out=st.none() | st.text(max_size=8) | st.integers(),
        fmt=st.sampled_from(("csv", "json")) | st.text(max_size=4))
-def test_validate_never_raises(experiment, params, out, fmt):
-    errors = ExperimentConfig(experiment, params, out, fmt).validate()
+def test_validate_never_raises(config, out, fmt):
+    errors = ExperimentConfig(*config, out, fmt).validate()
     assert isinstance(errors, list)
     assert all(isinstance(e, str) for e in errors)
 
 
-# flag -> (field it sets, experiments to try it on)
-FLAGS = {
-    "--beta": ("beta", ("loss-curve", "loss-convergence", "deviation-sweep")),
-    "--n": ("n", ("deviation-sweep", "loss-convergence")),
-    "--gamma-db": ("gamma_db", ("loss-curve", "loss-convergence")),
-    "--trials": ("trials", ("loss-curve",)),
-    "--seed": ("master_seed", ("loss-curve",)),
-    "--phi": ("phi", ("loss-convergence",)),
-    "--sigma2": ("sigma2", ("loss-curve",)),
-    "--m": ("m", ("product-additivity",)),
-    "--rows": ("rows", ("loss-curve",)),
-    "--cols": ("cols", ("monotonicity",)),
-    "--at": ("at", ("transforms",)),
-    "--points": ("points", ("transforms",)),
-}
-LIST_FIELDS = {("deviation-sweep", "--beta"): "beta_list",
-               ("loss-convergence", "--n"): "n_list"}
+# (experiment, flag, field) of every numeric parameter's flag.
+FLAGS = [(experiment, cli._flag(name, param), name)
+         for experiment, table in PARAMS.items()
+         for name, param in table.items() if param.kind != "name"]
 NUMERIC_TEXT = st.text(alphabet="0123456789.,:-+eE infa_ ", max_size=16)
 
 
@@ -92,17 +90,13 @@ def _messages(argv):
         try:
             args = cli._build_parser().parse_args(argv)
             return cli._config_from_args(args).validate()
-        except cli._CliError as exc:
+        except ValueError as exc:
             return [str(exc)]
 
 
 @settings(deadline=None, max_examples=300)
-@given(flag=st.sampled_from(sorted(FLAGS)), data=st.data(),
-       text=NUMERIC_TEXT | st.text(max_size=16))
-def test_flag_text_is_valid_or_names_its_field(flag, data, text):
-    field, experiments = FLAGS[flag]
-    experiment = data.draw(st.sampled_from(experiments))
-    field = LIST_FIELDS.get((experiment, flag), field)
+@given(case=st.sampled_from(FLAGS), text=NUMERIC_TEXT | st.text(max_size=16))
+def test_flag_text_is_valid_or_names_its_field(case, text):
+    experiment, flag, field = case
     for message in _messages([experiment, f"{flag}={text}"]):
-        # argparse-typed flags name the flag, the others the field.
-        assert field in message or flag in message, message
+        assert re.search(rf"\b{field}\b", message), message
