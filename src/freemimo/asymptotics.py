@@ -12,10 +12,7 @@ S-transform ratio integral, and is additive under free multiplication.
 import math
 
 from .errors import DomainError
-from .quadrature import integrate_log_singular_upper
 from .spectra import FreeProduct, binary_entropy
-
-_Z_CLAMP = 1e-18
 
 
 def binary_entropy_loss(phi, beta):
@@ -60,7 +57,8 @@ def transmit_side_loss(phi, beta):
 
 def deviation_from_linear(family, beta):
     """Deviation of mutual information growth from linearity, in bits per
-    antenna: -beta * integral_0^1 log2[ S(-beta z) / S(-z) ] dz.
+    antenna: -beta * integral_0^1 log2[ S(-beta z) / S(-z) ] dz, which is
+    (beta L(1) - L(beta)) / ln 2 with L the family's ``log_s_integral``.
 
     ``family`` must be a square full-rank Gram law (alpha = 1).  Identically
     zero at beta = 1 and for Dirac laws (orthogonal channels).
@@ -71,13 +69,8 @@ def deviation_from_linear(family, beta):
         raise DomainError(f"requires beta in (0, 1], got {beta}")
     if beta == 1.0:
         return 0.0
-
-    def integrand(z):
-        z = max(z, _Z_CLAMP)
-        return (math.log2(family.s_transform(-beta * z))
-                - math.log2(family.s_transform(-z)))
-
-    return -beta * integrate_log_singular_upper(integrand, 0.0, 1.0) + 0.0
+    return ((beta * family.log_s_integral(1.0) - family.log_s_integral(beta))
+            / math.log(2.0))
 
 
 def deviation_iid(beta):

@@ -91,14 +91,20 @@ def _shown(default):
     return str(default)
 
 
-def _build_parser():
+def _build_parser(argv=()):
+    """The command's parser.  Only the subcommands named in ``argv`` get
+    their flags, or all of them if none is named: each flag costs a help
+    formatter, and the other subcommands never parse."""
     parser = _Parser(prog="freemimo",
                      description="Capacity-scaling experiments for large "
                                  "MIMO systems")
     sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT",
                                 required=True)
+    named = PARAMS.keys() & set(argv) or PARAMS.keys()
     for experiment, table in PARAMS.items():
         p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
+        if experiment not in named:
+            continue
         p.add_argument("--config", help="JSON config file (flags override it)")
         for field, param in table.items():
             p.add_argument(_flag(field, param), dest=field,
@@ -118,6 +124,8 @@ def _unknown_flags(experiment, unknown):
 
 
 def _config_from_args(args):
+    if args.experiment == "verify" and args.fmt == "csv":
+        raise ValueError("format: verify writes a JSON report")
     if args.config:
         config = ExperimentConfig.from_file(args.config)
         if config.experiment != args.experiment:
@@ -155,7 +163,9 @@ def _print_verify_lines(table):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args, unknown = parser.parse_known_args(argv)
         if unknown:

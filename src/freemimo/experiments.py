@@ -248,6 +248,9 @@ class ExperimentConfig:
         if kind == "haar_unitary" and "sigma2" in self.params:
             errors.append("sigma2: haar_unitary draws are exactly unitary and "
                           "take no variance")
+        if kind not in (None, "product_iid") and "m" in self.params:
+            errors.append(f"m: only product_iid takes factors, got "
+                          f"ensemble={kind}")
         square = kind in ("haar_unitary", "product_iid")
         if square and "rows" in p and p["rows"] != p["cols"]:
             errors.append(f"rows, cols: {kind} needs a square channel, got "
@@ -290,8 +293,8 @@ def _row_context(experiment, **fields):
 
 
 def _ensemble(p, rows, cols):
-    factors = p["m"] if p["ensemble"] == "product_iid" else 1
-    return EnsembleSpec(p["ensemble"], rows, cols, p["sigma2"], factors)
+    # m is 1 unless the ensemble is product_iid (a cross-field rule).
+    return EnsembleSpec(p["ensemble"], rows, cols, p["sigma2"], p["m"])
 
 
 def _mean_se(a):

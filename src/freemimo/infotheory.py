@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate_log_singular_upper
 from .spectra import EmpiricalSpectrum, default_zero_tolerance
 
 _LN2 = math.log(2.0)
@@ -61,14 +60,7 @@ def _s_rate(family, x, gamma):
     accurate for tiny x."""
     tail = (1.0 - x) * math.log1p(-x) if x < 1.0 else 0.0
     return (x * (math.log(gamma) - math.log(x)) - tail
-            - _log_s_integral(family, x)) / _LN2
-
-
-def _log_s_integral(family, b):
-    """integral_0^b ln S(-z) dz in nats, for 0 < b <= alpha; ln S may
-    diverge logarithmically at z = alpha."""
-    return integrate_log_singular_upper(
-        lambda z: math.log(family.s_transform(-z)), 0.0, b)
+            - family.log_s_integral(x)) / _LN2
 
 
 def decompose(measure, gamma):
@@ -164,14 +156,17 @@ def multiplexing_rate_harmonic(family, beta, gamma):
         raise DomainError(f"requires beta in (0, 1], got {beta}")
     if abs(family.alpha - 1.0) > 1e-12:
         raise DomainError("harmonic-mean route requires a full-rank law")
-    return beta * math.log2(gamma) - _log_s_integral(family, beta) / _LN2
+    return beta * math.log2(gamma) - family.log_s_integral(beta) / _LN2
 
 
 def waterfilling_capacity(eigenvalues, gamma):
     """Water-filling over channel eigenmodes under (1/T) sum(q) = 1.
 
     Returns (capacity in bits per transmit antenna, allocation array).  The
-    water level is located by monotone bisection to 1e-12.
+    water level is exact: with the inverse gains sorted, filling the k
+    strongest modes gives the level (T + sum of the k smallest)/k, and the
+    water level is the last such level that still exceeds its own k-th
+    inverse gain.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
@@ -186,21 +181,9 @@ def waterfilling_capacity(eigenvalues, gamma):
 
     t = lam.size
     inv = 1.0 / (gamma * lam[pos])
-
-    def budget(level):
-        return float(np.sum(np.maximum(0.0, level - inv)))
-
-    lo = 0.0
-    hi = t + float(np.max(inv))
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if budget(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
+    ranked = np.sort(inv)
+    levels = (t + np.cumsum(ranked)) / np.arange(1, ranked.size + 1)
+    level = levels[np.flatnonzero(levels > ranked)[-1]]
 
     allocation = np.zeros(t)
     allocation[pos] = np.maximum(0.0, level - inv)

@@ -18,7 +18,11 @@ Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
     eta(g)   = integral of 1 / (1 + g x) dP(x) = 1 + Psi(-g),   g > 0
 
 S is positive and the natural companion of log-spectrum integrals: the mean
-of log2 over a full-rank measure equals -integral_0^1 log2 S(-z) dz.
+of log2 over a full-rank measure equals -integral_0^1 log2 S(-z) dz.  A
+family's ``log_s_integral(x)`` is L(x) = integral_0^x ln S(-z) dz; the base
+class integrates it by quadrature, and a family may supply a closed form.
+Every built-in family does, from integral_0^x ln(c - z) dz; a free
+product's L is the sum of its factors' (S-transforms multiply).
 
 A family's Psi inverts its closed-form Psi^{-1}, and an empirical Psi^{-1}
 inverts Psi, through one root finder: a walk seeded by Jensen's bound
@@ -28,6 +32,7 @@ with a bisection guard narrows the bracket.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +56,13 @@ def binary_entropy(p):
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _int_log(c, x):
+    """integral_0^x ln(c - z) dz for 0 < x <= c; c ln c - c at x = c."""
+    if x == c:
+        return c * math.log(c) - c
+    return x * math.log(c) - (c - x) * math.log1p(-x / c) - x
 
 
 def default_zero_tolerance(eigenvalues, dim=None):
@@ -126,7 +138,8 @@ class SpectralFamily:
 
     Subclasses provide ``alpha`` and ``s_transform``; Psi and eta (and their
     inverses) derive from those, Psi through the numeric inverse of the
-    closed-form Psi^{-1}, except where a closed form is overridden.
+    closed-form Psi^{-1}, and ``log_s_integral`` by quadrature, except where
+    a closed form is overridden.
     """
 
     @property
@@ -162,7 +175,13 @@ class SpectralFamily:
             raise DomainError(f"eta_inverse requires t in ({lo}, 1), got {t}")
         return -self.psi_inverse(t - 1.0)
 
-    @property
+    def log_s_integral(self, x):
+        """L(x) = integral_0^x ln S(-z) dz in nats, for 0 < x <= alpha; ln S
+        may diverge logarithmically at z = alpha."""
+        return integrate_log_singular_upper(
+            lambda z: math.log(self.s_transform(-z)), 0.0, x)
+
+    @cached_property
     def mean(self):
         """First moment; equals 1/S(0-)."""
         return 1.0 / self.s_transform(-1e-12 * self.alpha)
@@ -192,6 +211,9 @@ class Dirac(SpectralFamily):
         self._check_s_domain(z)
         return 1.0 / self.at
 
+    def log_s_integral(self, x):
+        return -x * math.log(self.at)
+
     def psi(self, z):
         if z >= 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
@@ -215,6 +237,9 @@ class BernoulliProjector(SpectralFamily):
     def s_transform(self, z):
         self._check_s_domain(z)
         return (z + 1.0) / (z + self.beta)
+
+    def log_s_integral(self, x):
+        return _int_log(1.0, x) - _int_log(self.beta, x)
 
     def psi(self, z):
         if z >= 0.0:
@@ -244,6 +269,9 @@ class SquareIidGram(SpectralFamily):
         self._check_s_domain(z)
         return 1.0 / (self.variance * (1.0 + z))
 
+    def log_s_integral(self, x):
+        return -x * math.log(self.variance) - _int_log(1.0, x)
+
     def psi(self, z):
         if z >= 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
@@ -269,13 +297,17 @@ class ProjectorScaled(SpectralFamily):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
-    @property
+    @cached_property
     def alpha(self):
         return min(self.inner.alpha, self.beta)
 
     def s_transform(self, z):
         self._check_s_domain(z)
         return self.inner.s_transform(z) * (z + 1.0) / (z + self.beta)
+
+    def log_s_integral(self, x):
+        return (self.inner.log_s_integral(x) + _int_log(1.0, x)
+                - _int_log(self.beta, x))
 
 
 @dataclass(frozen=True)
@@ -291,7 +323,7 @@ class FreeProduct(SpectralFamily):
             raise ValueError("FreeProduct requires at least one factor")
         object.__setattr__(self, "factors", tuple(factors))
 
-    @property
+    @cached_property
     def alpha(self):
         return min(f.alpha for f in self.factors)
 
@@ -301,6 +333,9 @@ class FreeProduct(SpectralFamily):
         for f in self.factors:
             out *= f.s_transform(z)
         return out
+
+    def log_s_integral(self, x):
+        return math.fsum(f.log_s_integral(x) for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -325,6 +360,11 @@ class Restricted(SpectralFamily):
         self._check_s_domain(z)
         a = self.base.alpha
         return (z + 1.0) / (z + 1.0 / a) * self.base.s_transform(a * z)
+
+    def log_s_integral(self, x):
+        a = self.base.alpha
+        return (_int_log(1.0, x) - _int_log(1.0 / a, x)
+                + self.base.log_s_integral(a * x) / a)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +522,13 @@ def log_mean(measure):
 
     An empirical spectrum takes the direct mean of log2 over its nonzero
     eigenvalues.  A family is evaluated through the S-transform identity
-    mean(log2) = -integral_0^1 log2 S(-z) dz applied to the restricted law;
-    the integrand's endpoint log singularity is handled by substitution.
+    mean(log2) = -integral_0^1 log2 S(-z) dz applied to the restricted law,
+    that is -L(1)/ln 2 with L its ``log_s_integral``.
     """
     m = measure.restricted()
     if isinstance(m, EmpiricalSpectrum):
         return float(np.mean(np.log2(m.eigenvalues)))
-    span_clamp = 1e-18
-
-    def integrand(z):
-        z = max(z, span_clamp)
-        return math.log2(s_transform(m, -z))
-
-    return -integrate_log_singular_upper(integrand, 0.0, 1.0)
+    return -m.log_s_integral(1.0) / math.log(2.0)
 
 
 def entropy_integral_check(p):

@@ -133,6 +133,14 @@ def test_deviation_product():
         asy.deviation_product_iid(0, 0.5)
 
 
+def _quadrature_deviation(family, beta):
+    """(beta L(1) - L(beta)) / ln 2 with L by the generic quadrature, which
+    for a free product integrates the numeric product of S-transforms."""
+    def quad_l(x):
+        return sp.SpectralFamily.log_s_integral(family, x)
+    return (beta * quad_l(1.0) - quad_l(beta)) / math.log(2.0)
+
+
 def test_additivity_check():
     lhs, rhs = asy.deviation_additivity_check(sp.Dirac(1.0), sp.Dirac(1.0), 0.5)
     assert lhs == 0.0 and rhs == 0.0
@@ -140,3 +148,12 @@ def test_additivity_check():
     assert abs(lhs - 1.0) < 1e-9 and abs(lhs - rhs) < 1e-9
     lhs, rhs = asy.deviation_additivity_check(MP, sp.Dirac(2.0), 0.5)
     assert abs(lhs - 0.5) < 1e-9 and abs(lhs - rhs) < 1e-9
+    # The closed-form product deviation sums its factors' ln S integrals,
+    # so additivity above holds by construction; the quadrature route
+    # does not sum.
+    for f, g in ((MP, MP), (MP, sp.Dirac(2.0)),
+                 (sp.SquareIidGram(3.0), sp.FreeProduct(MP, MP))):
+        for beta in (0.25, 0.5, 0.9):
+            lhs, rhs = asy.deviation_additivity_check(f, g, beta)
+            assert abs(lhs - _quadrature_deviation(sp.FreeProduct(f, g),
+                                                   beta)) < 1e-9

@@ -334,12 +334,13 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     (["deviation-sweep", "--ensemble", "haar_unitary", "--sigma2", "2"],
      "sigma2"),
     (["loss-curve", "--trials", "x"], "trials"),
+    (["deviation-sweep", "--ensemble", "haar_unitary", "--m", "2"], "m"),
 ], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
         "convergence-haar", "convergence-beta-below-phi", "beta-abc",
         "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
         "grid-too-long", "beta-two-values", "n-two-values",
         "transforms-trials", "loss-curve-family", "haar-sigma2",
-        "trials-text"])
+        "trials-text", "m-haar"])
 def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     out = tmp_path / "x.csv"
     # Few trials, in case a bad flag were accepted; the case's own flags
@@ -350,6 +351,32 @@ def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     assert f"error: {field}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_m_needs_product_iid(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert cli.main(["loss-curve", "--m", "3", "--trials", "4",
+                     "--gamma-db", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: m: only product_iid takes "
+                                       "factors, got ensemble="
+                                       "iid_complex_gaussian\n")
+    assert not out.exists()
+    assert not ExperimentConfig("loss-curve", {
+        "ensemble": "product_iid", "rows": 4, "cols": 4, "m": 3}).validate()
+
+
+@pytest.mark.parametrize("experiment", [None, *PARAMS])
+def test_cli_help_same_with_one_subcommand_built(experiment, capsys):
+    # main builds only the named subcommand's flags; its help, and the
+    # top-level help, read as with every subcommand built.
+    argv = [experiment, "--help"] if experiment else ["--help"]
+    helps = []
+    for parser in (cli._build_parser(), cli._build_parser(argv)):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "--out" in helps[1] if experiment else "EXPERIMENT" in helps[1]
 
 
 def test_cli_one_value_flags(tmp_path):
@@ -416,6 +443,20 @@ def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(acceptance, "run_all", fake_run_all_fail)
     assert cli.main(["verify"]) == 3
+
+
+def test_cli_verify_rejects_csv(monkeypatch, tmp_path, capsys):
+    from freemimo import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda only=None: [])
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify", "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: format: verify writes a JSON "
+                                       "report\n")
+    assert not out.exists()
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"] == []
 
 
 def test_cli_config_file(tmp_path):

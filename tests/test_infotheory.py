@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freemimo import asymptotics as asy
 from freemimo import infotheory as it
 from freemimo import montecarlo as mc
 from freemimo import spectra as sp
@@ -173,6 +174,43 @@ def test_family_mutual_info_one_psi_solve(make, monkeypatch):
         assert factor.s_evals <= 250, gamma
 
 
+BUILT_IN = (sp.Dirac, sp.BernoulliProjector, sp.SquareIidGram,
+            sp.ProjectorScaled, sp.FreeProduct, sp.Restricted)
+
+
+def _count_s_evals(monkeypatch, classes):
+    """Count S-transform evaluations of the given family classes."""
+    counts = []
+    for cls in classes:
+        def counting(self, z, s_transform=cls.s_transform):
+            counts.append(cls)
+            return s_transform(self, z)
+        monkeypatch.setattr(cls, "s_transform", counting)
+    return counts
+
+
+def test_built_in_families_integrate_ln_s_without_s(monkeypatch):
+    counts = _count_s_evals(monkeypatch, BUILT_IN)
+    for family in (MP, sp.Dirac(2.0), sp.FreeProduct(MP, MP, MP),
+                   sp.FreeProduct(MP, sp.Dirac(3.0))):
+        for beta in (0.25, 0.5, 0.75):
+            asy.deviation_from_linear(family, beta)
+    assert counts == []
+    sp.log_mean(sp.ProjectorScaled(sp.FreeProduct(MP, MP), 0.5))
+    assert counts == []
+
+
+@pytest.mark.parametrize("family, most", [
+    (sp.FreeProduct(MP, MP), 30),
+    (sp.ProjectorScaled(MP, 0.5), 15),
+], ids=["FreeProduct", "ProjectorScaled"])
+def test_family_mutual_info_s_evaluations(family, most, monkeypatch):
+    # The Psi solve and the mean evaluate S; the ln S integral does not.
+    counts = _count_s_evals(monkeypatch, [sp.SquareIidGram])
+    it.mutual_info_measure(family, 100.0)
+    assert 0 < len(counts) <= most
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -339,6 +377,41 @@ def test_waterfilling_matches_brute_force():
                               + np.log2(1.0 + gamma * (2.0 - grid) * lam[1])))
         assert abs(cap - float(brute)) < 1e-6
         assert abs(np.sum(q) - 2.0) < 1e-10
+
+
+def _bisection_waterfilling(lam, gamma):
+    """Water level by 200-step bisection on the spent budget: the
+    reference for the exact level."""
+    t = lam.size
+    pos = lam > 0.0
+    inv = 1.0 / (gamma * lam[pos])
+    lo, hi = 0.0, t + float(np.max(inv))
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.maximum(0.0, mid - inv)) < t:
+            lo = mid
+        else:
+            hi = mid
+    q = np.zeros(t)
+    q[pos] = np.maximum(0.0, 0.5 * (lo + hi) - inv)
+    return float(np.sum(np.log2(1.0 + gamma * q * lam)) / t), q
+
+
+def test_waterfilling_exact_level_matches_bisection():
+    rng = np.random.default_rng(31)
+    for size in (1, 2, 5, 64):
+        for zeros in (False, True):
+            for gamma in (1e-2, 1.0, 1e3):
+                lam = rng.exponential(size=size) ** 3
+                if zeros and size > 1:
+                    lam[rng.permutation(size)[:size // 2]] = 0.0
+                cap, q = it.waterfilling_capacity(lam, gamma)
+                ref_cap, ref_q = _bisection_waterfilling(lam, gamma)
+                assert abs(cap - ref_cap) <= 1e-12
+                assert np.max(np.abs(q - ref_q)) <= 1e-12
+                assert abs(np.sum(q) - size) <= 1e-12 * size
 
 
 def test_waterfilling_zero_modes_get_no_power():

@@ -394,8 +394,56 @@ def test_log_mean_all_zero_spectrum():
 def test_log_mean_additive_under_free_product():
     f = sp.SquareIidGram(1.0)
     g = sp.Dirac(3.0)
-    combined = sp.log_mean(sp.FreeProduct(f, g))
+    product = sp.FreeProduct(f, g)
+    combined = sp.log_mean(product)
     assert abs(combined - sp.log_mean(f) - sp.log_mean(g)) < 1e-8
+    # The closed form sums the factors' ln S integrals; the quadrature
+    # route integrates the numeric product of their S-transforms.
+    via_product = -sp.SpectralFamily.log_s_integral(product, 1.0) * LOG2E
+    assert abs(combined - via_product) < 1e-8
+
+
+# _CountingInverse supplies no log_s_integral, so it is a factor whose ln S
+# integral takes the quadrature route.
+LOG_S_FAMILIES = [
+    sp.Dirac(2.0),
+    sp.Dirac(0.3),
+    MP,
+    sp.SquareIidGram(2.5),
+    sp.BernoulliProjector(0.6),
+    sp.BernoulliProjector(1.0),
+    sp.BernoulliProjector(0.6).restricted(),
+    sp.ProjectorScaled(MP, 0.5),
+    sp.ProjectorScaled(MP, 1.0),
+    sp.ProjectorScaled(sp.BernoulliProjector(0.3), 0.5),
+    sp.ProjectorScaled(MP, 0.5).restricted(),
+    sp.FreeProduct(MP, sp.SquareIidGram(2.0)),
+    sp.FreeProduct(MP, MP, MP),
+    sp.ProjectorScaled(sp.FreeProduct(MP, MP), 0.4),
+    sp.ProjectorScaled(sp.FreeProduct(MP, MP), 0.4).restricted(),
+    sp.FreeProduct(_CountingInverse(MP), sp.Dirac(2.0)),
+    sp.FreeProduct(_CountingInverse(sp.ProjectorScaled(MP, 0.5)), MP),
+]
+
+
+@pytest.mark.parametrize("family", LOG_S_FAMILIES,
+                         ids=lambda f: type(f).__name__)
+def test_closed_form_log_s_integral_matches_quadrature(family):
+    a = family.alpha
+    for x in (1e-12, 1e-6, 0.1 * a, 0.5 * a, a * (1.0 - 1e-9), a):
+        fast = family.log_s_integral(x)
+        slow = sp.SpectralFamily.log_s_integral(family, x)
+        assert abs(fast - slow) <= 1e-10 * max(x, abs(slow)), x
+
+
+def test_log_s_integral_endpoint_closed_forms():
+    # integral_0^1 -ln(1 - z) dz = 1; a beta-projector's L(beta) is
+    # H(beta) in nats.
+    assert MP.log_s_integral(1.0) == 1.0
+    for beta in (0.25, 0.5, 0.9):
+        fam = sp.BernoulliProjector(beta)
+        assert abs(fam.log_s_integral(beta)
+                   - sp.binary_entropy(beta) * math.log(2.0)) < 1e-15
 
 
 def test_entropy_integral_matches_binary_entropy():
