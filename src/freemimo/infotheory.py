@@ -46,7 +46,7 @@ def mutual_info_measure(measure, gamma):
     which is stationary in y, so the rounding of y moves it only to second
     order, even where alpha + y is about alpha/gamma.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     if isinstance(measure, EmpiricalSpectrum):
         return float(np.mean(np.log2(1.0 + gamma * measure.eigenvalues)))
@@ -66,7 +66,7 @@ def _s_rate(family, x, gamma):
 def decompose(measure, gamma):
     """Split mutual information into I0 + delta, where I0 is the
     multiplexing rate and delta = I - I0 vanishes as gamma grows."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     if not isinstance(measure, EmpiricalSpectrum):
         i0 = multiplexing_rate_s(measure, gamma)
@@ -89,20 +89,25 @@ def _gram_smaller_side(h):
     return h @ hh if r < t else hh @ h
 
 
+def _channel(h):
+    """h as a 2-D array with finite entries, or ValueError."""
+    h = np.asarray(h)
+    if h.ndim != 2:
+        raise ValueError("channel matrix must be 2-dimensional")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel matrix has non-finite entries")
+    return h
+
+
 def mutual_info_finite(h, gamma):
     """(1/T) log2 det(I + gamma H^H H) through a Cholesky factorization.
 
     Uses det(I + gamma H^H H) = det(I + gamma H H^H) to factor the smaller
     Gram matrix; no eigendecomposition is needed.
     """
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise ValueError("channel matrix must be 2-dimensional")
-    if gamma <= 0.0:
+    h = _channel(h)
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
-    if not np.all(np.isfinite(h.real)) or (np.iscomplexobj(h)
-                                           and not np.all(np.isfinite(h.imag))):
-        raise ValueError("channel matrix has non-finite entries")
     gram = _gram_smaller_side(h)
     a = np.eye(gram.shape[0], dtype=gram.dtype) + gamma * gram
     chol = np.linalg.cholesky(a)
@@ -112,8 +117,8 @@ def mutual_info_finite(h, gamma):
 
 def multiplexing_rate_finite(h, gamma, zero_tolerance=None):
     """(1/T) sum of log2(gamma lambda) over nonzero Gram eigenvalues."""
-    h = np.asarray(h)
-    if gamma <= 0.0:
+    h = _channel(h)
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     w = np.linalg.eigvalsh(_gram_smaller_side(h))
     w = np.maximum(w, 0.0)
@@ -132,7 +137,7 @@ def multiplexing_rate_s(family, gamma):
     H(alpha) + alpha log2(gamma) - integral_0^alpha log2 S(-z) dz: the
     gamma -> infinity limit of ``mutual_info_measure``, Psi(-gamma) -> -alpha.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     return _s_rate(family, family.alpha, gamma)
 
@@ -150,7 +155,7 @@ def multiplexing_rate_harmonic(family, beta, gamma):
 
     Requires a full-rank (alpha = 1) square Gram law.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"requires beta in (0, 1], got {beta}")
@@ -173,7 +178,7 @@ def waterfilling_capacity(eigenvalues, gamma):
         raise ValueError("eigenvalues must be a nonempty 1-d array")
     if np.any(lam < 0.0):
         raise DomainError("eigenvalues must be nonnegative")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"requires gamma > 0, got {gamma}")
     pos = lam > 0.0
     if not np.any(pos):

@@ -10,9 +10,13 @@ counter, which yields exactly the stream of ``trial_rng(seed, t)``;
 engine stacks trials in chunks, fills each chunk's normals trial by trial
 and transforms them in one step, then factors the stack in one batched
 LAPACK call.  Every matrix of a stack is drawn and factored on its own, so
-chunking never changes a result byte.  Trial reductions (mean, standard
-error) are computed over an array indexed by trial, which numpy sums in a
-fixed order.
+chunking never changes a result byte.  When a call has several chunks of
+more than one trial each and the process may run on two or more CPUs, one
+helper thread draws the next chunk while the caller factors the current
+one; the helper is then the only thread that uses the call's streams.
+Each trial's stream is fixed by (seed, trial), so which thread draws a
+trial never changes a byte.  Trial reductions (mean, standard error) are
+computed over an array indexed by trial, which numpy sums in a fixed order.
 
 Factorizations.  Mutual information at a single gamma is a log-det from a
 Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
@@ -26,7 +30,11 @@ multiplexing rate is a log-det of H itself: an LU factorization
 otherwise.  Neither squares H's condition number.
 """
 
+import contextlib
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +83,7 @@ class EnsembleSpec:
             raise ValueError("matrix dimensions must be >= 1")
         if self.kind in ("haar_unitary", "product_iid") and self.rows != self.cols:
             raise ValueError(f"{self.kind} requires a square matrix")
-        if self.variance <= 0.0:
+        if not self.variance > 0.0:
             raise ValueError(f"variance must be positive, got {self.variance}")
         if self.factors < 1:
             raise ValueError(f"factors must be >= 1, got {self.factors}")
@@ -225,6 +233,67 @@ def _sample_chunk(spec, streams, trials, spent=None):
     return h
 
 
+def _serial_draws(spec, streams, chunks):
+    """Each chunk's stack, drawn into the memory of the last, whose
+    statistics are taken: one stack is alive at a time and its pages stay
+    mapped."""
+    block = None
+    for trials in chunks:
+        block = _sample_chunk(spec, streams, trials, block)
+        yield block
+
+
+_STOP = object()  # tells the helper of _pipelined_draws to return
+
+
+def _pipelined_draws(spec, streams, chunks):
+    """Each chunk's stack, the next one drawn on a helper thread while the
+    caller takes the statistics of this one.
+
+    Two stacks alternate: the caller hands each stack back once its
+    statistics are taken, and the helper draws the chunk after next into
+    it.  Philox fills release the GIL, so they overlap the caller's Gram
+    and factorization work.  The helper is the only thread that touches
+    ``streams`` and it draws the chunks in order, so every byte is the
+    serial loop's.  A draw's exception is raised here; closing the
+    generator stops the helper after the draw in flight and joins it.
+    """
+    spares, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():
+        try:
+            for trials in chunks:
+                spare = spares.get()
+                if spare is _STOP:
+                    return
+                drawn.put(_sample_chunk(spec, streams, trials, spare))
+        except BaseException as exc:  # raised again in the caller's thread
+            drawn.put(exc)
+
+    helper = threading.Thread(target=draw)
+    helper.start()
+    try:
+        spares.put(None)  # the first two chunks take new stacks
+        spares.put(None)
+        for _ in chunks:
+            block = drawn.get()
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+            spares.put(block)
+    finally:
+        spares.put(_STOP)
+        helper.join()
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def sample_matrix(spec, seed, trial=0):
     """Draw one channel matrix; bit-identical for identical (spec, seed, trial)."""
     return _sample_chunk(spec, _TrialStreams(seed), [trial])[0]
@@ -346,31 +415,34 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     if unknown:
         raise ValueError(f"unknown statistics {unknown}; choose from {STATS}")
     gam = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if np.any(gam <= 0.0):
+    if not np.all(gam > 0.0):
         raise DomainError(f"requires gamma > 0, got {gammas}")
     sides = ("ref",) if proj is None else ("ref", "proj")
     out = {f"{stat}_{side}": np.empty((gam.size, trials))
            for stat in stats for side in sides}
-    streams = _TrialStreams(master_seed)
     chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
-    block = None
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        # Each chunk is drawn into the memory of the last, whose statistics
-        # are taken: one stack is alive at a time and its pages stay mapped.
-        block = _sample_chunk(spec, streams, range(lo, hi), block)
-        systems = {"ref": block}
-        if proj is not None:
-            systems["proj"] = apply_projector(block, proj)
-        if "mi" in stats:
-            grams = ((_gram_smaller_side(block),) if proj is None
-                     else _paired_grams(block, proj))
-            for (side, stack), gram in zip(systems.items(), grams):
-                out[f"mi_{side}"][:, lo:hi] = _mutual_info(
-                    gram, stack.shape[-1], gam)
-        if "mr" in stats:
-            for side, stack in systems.items():
-                out[f"mr_{side}"][:, lo:hi] = _multiplexing_rate(stack, gam)
+    chunks = [range(lo, min(lo + chunk, trials))
+              for lo in range(0, trials, chunk)]
+    # A one-trial chunk is a draw over 128 KiB, where a second stack costs
+    # more memory than the overlap saves; on one CPU there is no overlap.
+    pipelined = chunk > 1 and len(chunks) > 1 and _usable_cpus() > 1
+    draws = (_pipelined_draws if pipelined else _serial_draws)(
+        spec, _TrialStreams(master_seed), chunks)
+    with contextlib.closing(draws):
+        for batch, block in zip(chunks, draws):
+            at = slice(batch.start, batch.stop)
+            systems = {"ref": block}
+            if proj is not None:
+                systems["proj"] = apply_projector(block, proj)
+            if "mi" in stats:
+                grams = ((_gram_smaller_side(block),) if proj is None
+                         else _paired_grams(block, proj))
+                for (side, stack), gram in zip(systems.items(), grams):
+                    out[f"mi_{side}"][:, at] = _mutual_info(
+                        gram, stack.shape[-1], gam)
+            if "mr" in stats:
+                for side, stack in systems.items():
+                    out[f"mr_{side}"][:, at] = _multiplexing_rate(stack, gam)
     return TrialStats(**out)
 
 

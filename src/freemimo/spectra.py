@@ -165,7 +165,7 @@ class SpectralFamily:
         return _psi_from_inverse(self, z)
 
     def eta(self, gamma):
-        if gamma <= 0.0:
+        if not gamma > 0.0:
             raise DomainError(f"eta requires gamma > 0, got {gamma}")
         return 1.0 + self.psi(-gamma)
 
@@ -200,7 +200,7 @@ class Dirac(SpectralFamily):
     at: float
 
     def __post_init__(self):
-        if self.at <= 0.0:
+        if not self.at > 0.0:
             raise ValueError(f"Dirac location must be positive, got {self.at}")
 
     @property
@@ -258,7 +258,7 @@ class SquareIidGram(SpectralFamily):
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0.0:
+        if not self.variance > 0.0:
             raise ValueError(f"variance must be positive, got {self.variance}")
 
     @property
@@ -495,7 +495,7 @@ def s_transform(measure, z):
 
 def eta_transform(measure, gamma):
     """eta(gamma) = integral of 1/(1 + gamma x) dP(x); decreasing, eta(0+) = 1."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise DomainError(f"eta requires gamma > 0, got {gamma}")
     if isinstance(measure, SpectralFamily):
         return measure.eta(gamma)

@@ -435,3 +435,59 @@ def test_waterfilling_errors():
         it.waterfilling_capacity([1.0], -1.0)
     with pytest.raises(DomainError):
         it.waterfilling_capacity([-1.0, 2.0], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+EMPIRICAL = sp.EmpiricalSpectrum(np.array([0.5, 2.0]))
+
+# Each positivity check rejects NaN, which fails a `x <= 0` test.
+NAN_SITES = {
+    "EnsembleSpec.variance": (ValueError, lambda: mc.EnsembleSpec(
+        "iid_complex_gaussian", 4, 2, variance=NAN)),
+    "trial_stats.gammas": (DomainError, lambda: mc.trial_stats(
+        mc.EnsembleSpec("iid_complex_gaussian", 4, 2), None, [1.0, NAN], 4,
+        0)),
+    "ergodic_loss.gamma": (DomainError, lambda: mc.ergodic_loss(
+        mc.EnsembleSpec("iid_complex_gaussian", 4, 2),
+        mc.ProjectorSpec("receive", 0.5), NAN, 4, 0)),
+    "mutual_info_measure": (DomainError,
+                            lambda: it.mutual_info_measure(MP, NAN)),
+    "decompose": (DomainError, lambda: it.decompose(EMPIRICAL, NAN)),
+    "mutual_info_finite": (DomainError,
+                           lambda: it.mutual_info_finite(np.eye(2), NAN)),
+    "multiplexing_rate_finite": (
+        DomainError, lambda: it.multiplexing_rate_finite(np.eye(2), NAN)),
+    "multiplexing_rate_s": (DomainError,
+                            lambda: it.multiplexing_rate_s(MP, NAN)),
+    "multiplexing_rate_harmonic": (
+        DomainError, lambda: it.multiplexing_rate_harmonic(MP, 0.5, NAN)),
+    "waterfilling_capacity": (
+        DomainError, lambda: it.waterfilling_capacity([1.0, 2.0], NAN)),
+    "SpectralFamily.eta": (DomainError, lambda: MP.eta(NAN)),
+    "Dirac.at": (ValueError, lambda: sp.Dirac(NAN)),
+    "SquareIidGram.variance": (ValueError, lambda: sp.SquareIidGram(NAN)),
+    "eta_transform": (DomainError, lambda: sp.eta_transform(EMPIRICAL, NAN)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAN_SITES))
+def test_positivity_checks_reject_nan(site):
+    error, call = NAN_SITES[site]
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("fn", [it.mutual_info_finite,
+                                it.multiplexing_rate_finite],
+                         ids=lambda fn: fn.__name__)
+def test_finite_channel_checks(fn):
+    with pytest.raises(ValueError, match="2-dimensional"):
+        fn(np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(np.array([[1.0, NAN], [0.0, 1.0]]), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(np.array([[1.0, complex(0.0, np.inf)]]), 1.0)

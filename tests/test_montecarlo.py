@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -494,3 +497,180 @@ def test_engine_draws_match_sample_matrix(monkeypatch, spec, per_chunk):
     expected = np.stack([mc.sample_matrix(spec, 9, t) for t in range(10)])
     assert drawn.dtype == expected.dtype
     assert drawn.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# drawing the next chunk on a helper thread
+# ---------------------------------------------------------------------------
+
+PIPELINE_SPECS = [
+    (mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 2.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("iid_real_gaussian", 8, 4, 2.0),
+     mc.ProjectorSpec("transmit", 0.5)),
+    (mc.EnsembleSpec("haar_unitary", 6, 6), mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("product_iid", 4, 4, 3.0, factors=3),
+     mc.ProjectorSpec("receive", 0.75)),
+]
+PIPELINE_CALLS = [([1e3], ("mi",)), ([1.0, 1e3, 1e8], mc.STATS),
+                  ([1e6], ("mr",))]
+
+
+def _three_trial_chunks(monkeypatch, spec, cpus):
+    """Stack 3 trials to a chunk (10 trials: 3 + 3 + 3 + 1), let the
+    process see ``cpus`` CPUs, and return the threads that draw chunks."""
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * spec.rows * spec.cols * 3)
+    monkeypatch.setattr(mc.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    drawers = []
+    sample_chunk = mc._sample_chunk
+
+    def recording(*args):
+        drawers.append(threading.current_thread())
+        return sample_chunk(*args)
+
+    monkeypatch.setattr(mc, "_sample_chunk", recording)
+    return drawers
+
+
+def _stacked_reference(spec, proj, gammas, trials, seed):
+    """Every statistic of the stack of one-trial draws, in one chunk."""
+    h = np.stack([mc.sample_matrix(spec, seed, t) for t in range(trials)])
+    hp = mc.apply_projector(h, proj)
+    gam = np.asarray(gammas, dtype=float)
+    gram, proj_gram = mc._paired_grams(h, proj)
+    return {"mi_ref": mc._mutual_info(gram, h.shape[-1], gam),
+            "mi_proj": mc._mutual_info(proj_gram, hp.shape[-1], gam),
+            "mr_ref": mc._multiplexing_rate(h, gam),
+            "mr_proj": mc._multiplexing_rate(hp, gam)}
+
+
+@pytest.mark.parametrize("spec, proj", PIPELINE_SPECS,
+                         ids=[spec.kind for spec, _ in PIPELINE_SPECS])
+def test_pipelined_trial_stats_match_stacked_draws(monkeypatch, spec, proj):
+    # Every chunk is drawn on the helper thread, and every byte is that of
+    # the one-trial draws stacked and reduced in one chunk.
+    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    for gammas, stats in PIPELINE_CALLS:
+        drawers.clear()
+        s = mc.trial_stats(spec, proj, gammas, 10, 21, stats)
+        assert len(drawers) == 4
+        assert threading.main_thread() not in drawers
+        expected = _stacked_reference(spec, proj, gammas, 10, 21)
+        for name, value in expected.items():
+            got = getattr(s, name)
+            assert (got is None) == (name[:2] not in stats)
+            if got is not None:
+                assert got.tobytes() == value.tobytes()
+
+
+def test_helper_never_draws_into_a_stack_in_use(monkeypatch):
+    # Statistics that take far longer than a draw: a helper that wrote
+    # into the stack being reduced would change the bytes.
+    spec, proj = PIPELINE_SPECS[0]
+    _three_trial_chunks(monkeypatch, spec, cpus=2)
+    rate = mc._multiplexing_rate
+
+    def slow(stack, gam):
+        before = stack.copy()
+        time.sleep(0.005)
+        assert np.array_equal(stack, before)
+        return rate(stack, gam)
+
+    monkeypatch.setattr(mc, "_multiplexing_rate", slow)
+    s = mc.trial_stats(spec, proj, [1e3], 10, 21, ("mr",))
+    expected = _stacked_reference(spec, proj, [1e3], 10, 21)
+    assert s.mr_ref.tobytes() == expected["mr_ref"].tobytes()
+
+
+def test_draw_error_propagates_and_joins_the_helper(monkeypatch):
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
+    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    sample_chunk = mc._sample_chunk
+
+    def failing_second(*args):
+        if len(drawers) == 1:
+            raise RuntimeError("draw failed")
+        return sample_chunk(*args)
+
+    monkeypatch.setattr(mc, "_sample_chunk", failing_second)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        mc.trial_stats(spec, None, [10.0], 10, 4)
+    assert len(drawers) == 1 and drawers[0] is not threading.main_thread()
+    assert threading.active_count() == threads
+
+
+def test_stats_error_joins_the_helper(monkeypatch):
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
+    _three_trial_chunks(monkeypatch, spec, cpus=2)
+    calls = []
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("statistics failed")
+        return np.zeros((1, len(args[0])))
+
+    monkeypatch.setattr(mc, "_multiplexing_rate", failing_second)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="statistics failed"):
+        mc.trial_stats(spec, None, [10.0], 10, 4, ("mr",))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("no_affinity", [False, True],
+                         ids=["affinity", "cpu_count"])
+def test_one_cpu_draws_on_the_calling_thread(monkeypatch, no_affinity):
+    spec, proj = PIPELINE_SPECS[0]
+    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    pipelined = mc.trial_stats(spec, proj, [1.0, 1e3], 10, 6)
+    if no_affinity:
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
+    drawers.clear()
+    threads = threading.active_count()
+    serial = mc.trial_stats(spec, proj, [1.0, 1e3], 10, 6)
+    assert drawers == [threading.main_thread()] * 4
+    assert threading.active_count() == threads
+    for name in ("mi_ref", "mi_proj", "mr_ref", "mr_proj"):
+        assert getattr(serial, name).tobytes() == getattr(pipelined,
+                                                          name).tobytes()
+
+
+def test_one_trial_chunks_draw_on_the_calling_thread(monkeypatch):
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
+    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
+    mc.trial_stats(spec, None, [10.0], 5, 4)
+    assert drawers == [threading.main_thread()] * 5
+
+
+def test_concurrent_pipelined_calls_share_nothing(monkeypatch):
+    # Three callers, each with its own helper, on fewer cores, switching
+    # threads every 10 us: every call still gets the serial bytes.
+    spec, proj = PIPELINE_SPECS[0]
+    _three_trial_chunks(monkeypatch, spec, cpus=1)
+    serial = mc.trial_stats(spec, proj, [1e3], 30, 8)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1})
+    results = [None] * 3
+
+    def call(i):
+        results[i] = mc.trial_stats(spec, proj, [1e3], 30, 8)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for s in results:
+        assert s.mi_ref.tobytes() == serial.mi_ref.tobytes()
+        assert s.mi_proj.tobytes() == serial.mi_proj.tobytes()
