@@ -50,6 +50,10 @@ CONFIG_SCHEMA = "freemimo-config/1"
 MASTER_SEED = 20260808
 
 
+def db_to_linear(db):
+    return 10.0 ** (db / 10.0)
+
+
 def _is_number(value, integer=False):
     """A finite JSON number (not a bool or a string); with ``integer``, one
     with an integral value."""
@@ -125,10 +129,21 @@ _POSITIVE = ("positive", lambda v: v > 0)
 _FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 _AT_LEAST_TWO = (">= 2", lambda v: v >= 2)
 
+
+def _finite_snr(db):
+    """Whether 10^(db/10), the linear SNR, is a finite double > 0."""
+    try:
+        return 0.0 < db_to_linear(db) < math.inf
+    except OverflowError:
+        return False
+
+
+_SNR_DB = ("a dB value whose 10^(dB/10) is a finite number > 0", _finite_snr)
+
 # Parameters that several experiments take; a table may change the default.
 TRIALS = Param("int", _AT_LEAST_TWO, 200, "Monte Carlo trials")
 BETA = Param("float", _FRACTION, 0.5, "kept fraction of the antennas")
-GAMMA_DB = Param("float", None, 60.0, "SNR in dB")
+GAMMA_DB = Param("float", _SNR_DB, 60.0, "SNR in dB")
 N = Param("int", _POSITIVE, 512, "antennas on each side (n x n channel)")
 M = Param("int", _POSITIVE, 1, "factors in a product channel")
 SIGMA2 = Param("float", _POSITIVE, 1.0, "ensemble variance scale")
@@ -143,7 +158,7 @@ _ENSEMBLE = {"ensemble": Param("name", ENSEMBLE_KINDS, "iid_complex_gaussian",
 def _receive_table(grid):
     """loss-curve and monotonicity: one R x T channel, its receive antennas
     cut to beta R, over an SNR grid."""
-    return {"gamma_db": Param("grid", None, grid, "SNR grid in dB: "
+    return {"gamma_db": Param("grid", _SNR_DB, grid, "SNR grid in dB: "
                               "start:step:stop, a list, or one value"),
             **_RUNS, "trials": replace(TRIALS, default=20000), "beta": BETA,
             **_ENSEMBLE, "sigma2": replace(SIGMA2, default="rows"),
@@ -276,10 +291,6 @@ class ResultTable:
     def column(self, name):
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
-
-
-def db_to_linear(db):
-    return 10.0 ** (db / 10.0)
 
 
 @contextmanager

@@ -33,6 +33,12 @@ class InfoDecomposition:
     snr: float
 
 
+def _check_gamma(gamma):
+    """DomainError unless gamma is a finite SNR > 0 (NaN and inf fail)."""
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"requires finite gamma > 0, got {gamma}")
+
+
 def mutual_info_measure(measure, gamma):
     """Mean of log2(1 + gamma x) over a spectrum, in bits per transmit antenna.
 
@@ -46,8 +52,7 @@ def mutual_info_measure(measure, gamma):
     which is stationary in y, so the rounding of y moves it only to second
     order, even where alpha + y is about alpha/gamma.
     """
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     if isinstance(measure, EmpiricalSpectrum):
         return float(np.mean(np.log2(1.0 + gamma * measure.eigenvalues)))
     return _s_rate(measure, -measure.psi(-gamma), gamma)
@@ -66,8 +71,7 @@ def _s_rate(family, x, gamma):
 def decompose(measure, gamma):
     """Split mutual information into I0 + delta, where I0 is the
     multiplexing rate and delta = I - I0 vanishes as gamma grows."""
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     if not isinstance(measure, EmpiricalSpectrum):
         i0 = multiplexing_rate_s(measure, gamma)
         mi = mutual_info_measure(measure, gamma)
@@ -106,8 +110,7 @@ def mutual_info_finite(h, gamma):
     Gram matrix; no eigendecomposition is needed.
     """
     h = _channel(h)
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     gram = _gram_smaller_side(h)
     a = np.eye(gram.shape[0], dtype=gram.dtype) + gamma * gram
     chol = np.linalg.cholesky(a)
@@ -118,8 +121,7 @@ def mutual_info_finite(h, gamma):
 def multiplexing_rate_finite(h, gamma, zero_tolerance=None):
     """(1/T) sum of log2(gamma lambda) over nonzero Gram eigenvalues."""
     h = _channel(h)
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     w = np.linalg.eigvalsh(_gram_smaller_side(h))
     w = np.maximum(w, 0.0)
     t = h.shape[1]
@@ -137,8 +139,7 @@ def multiplexing_rate_s(family, gamma):
     H(alpha) + alpha log2(gamma) - integral_0^alpha log2 S(-z) dz: the
     gamma -> infinity limit of ``mutual_info_measure``, Psi(-gamma) -> -alpha.
     """
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     return _s_rate(family, family.alpha, gamma)
 
 
@@ -155,8 +156,7 @@ def multiplexing_rate_harmonic(family, beta, gamma):
 
     Requires a full-rank (alpha = 1) square Gram law.
     """
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    _check_gamma(gamma)
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"requires beta in (0, 1], got {beta}")
     if abs(family.alpha - 1.0) > 1e-12:
@@ -176,10 +176,9 @@ def waterfilling_capacity(eigenvalues, gamma):
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigenvalues must be a nonempty 1-d array")
-    if np.any(lam < 0.0):
-        raise DomainError("eigenvalues must be nonnegative")
-    if not gamma > 0.0:
-        raise DomainError(f"requires gamma > 0, got {gamma}")
+    if not np.all((lam >= 0.0) & (lam < math.inf)):
+        raise DomainError("eigenvalues must be finite and nonnegative")
+    _check_gamma(gamma)
     pos = lam > 0.0
     if not np.any(pos):
         raise DomainError("water-filling needs at least one positive eigenvalue")

@@ -7,16 +7,21 @@ independent streams that reproduce bit-identically.  ``trial_stats`` builds
 one such Philox per call and re-keys it for each trial by setting its
 counter, which yields exactly the stream of ``trial_rng(seed, t)``;
 ``sample_matrix`` is the one-trial case of the same sampling path.  The
-engine stacks trials in chunks, fills each chunk's normals trial by trial
-and transforms them in one step, then factors the stack in one batched
-LAPACK call.  Every matrix of a stack is drawn and factored on its own, so
-chunking never changes a result byte.  When a call has several chunks of
-more than one trial each and the process may run on two or more CPUs, one
-helper thread draws the next chunk while the caller factors the current
-one; the helper is then the only thread that uses the call's streams.
-Each trial's stream is fixed by (seed, trial), so which thread draws a
-trial never changes a byte.  Trial reductions (mean, standard error) are
-computed over an array indexed by trial, which numpy sums in a fixed order.
+engine stacks trials in chunks.  Each chunk is sampled in two steps: a fill
+writes each trial's standard normals into one block, trial by trial, and
+``_sample_chunk`` turns the block into the chunk's draws in its own memory
+(scale, re/im interleave, Haar QR or the product of the factors).  The
+stack is then factored in one batched LAPACK call.  Every matrix of a stack
+is drawn and factored on its own, so chunking never changes a result byte.
+When a call has several chunks of more than one trial each and the process
+may run on two or more CPUs, one helper thread fills the next chunk's
+normals while the caller samples and factors the current one.  The helper
+runs nothing but the fills, which release the GIL, and it is then the only
+thread that uses the call's streams; everything else runs on the calling
+thread, on the same path as the serial loop.  Each trial's stream is fixed
+by (seed, trial), so which thread fills a trial never changes a byte.
+Trial reductions (mean, standard error) are computed over an array indexed
+by trial, which numpy sums in a fixed order.
 
 Factorizations.  Mutual information at a single gamma is a log-det from a
 Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
@@ -31,6 +36,7 @@ otherwise.  Neither squares H's condition number.
 """
 
 import contextlib
+import functools
 import math
 import os
 import queue
@@ -55,7 +61,11 @@ STATS = ("mi", "mr")
 # Trials are stacked in chunks of about this many bytes of complex draws; a
 # draw over 128 KiB runs one trial at a time.  Small chunks keep each
 # chunk's temporaries in memory the allocator reuses: at 4 MiB, a 3000-trial
-# 64 x 32 call took ~48,000 page faults and 1.3x the time.
+# 64 x 32 call took ~48,000 page faults and 1.3x the time.  The caller's
+# per-chunk arrays (the interleave's im copy, the conjugate, the Grams and
+# I + gamma G) are allocated once per call (``_scratch_array``): the same
+# call took about 36,000 minor faults when each chunk allocated its own
+# while the sampler thread ran, and about 225 with them allocated once.
 CHUNK_BYTES = 256 * 2 ** 10
 
 
@@ -134,8 +144,10 @@ class ErgodicEstimate:
 
 def trial_rng(master_seed, trial=0):
     """Generator for one trial: Philox keyed by master_seed, counter (0,0,trial,0)."""
-    return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=[0, 0, trial, 0]))
+    # A uint64 array: numpy would read a list holding 2^64 - 1 as a float.
+    counter = np.array([0, 0, trial, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=master_seed,
+                                                counter=counter))
 
 
 def kept_count(beta, dim):
@@ -146,141 +158,165 @@ def kept_count(beta, dim):
 class _TrialStreams:
     """One Philox keyed by a master seed, re-keyed to each trial's stream.
 
-    Re-keying sets the counter to (0, 0, t, 0) with an empty buffer, the
-    state ``trial_rng(master_seed, t)`` starts from, at a fraction of the
-    cost of building a new generator.
+    Re-keying assigns a state of plain Python ints: counter (0, 0, t, 0)
+    with an empty buffer, the state ``trial_rng(master_seed, t)`` starts
+    from.  The state setter reads Python ints faster than the arrays the
+    state getter returns (about 1.0 against 2.7 us a trial on a 2-core
+    x86-64 VM), and either way it costs a fraction of building a new
+    generator.
     """
 
     def __init__(self, master_seed):
         rng = trial_rng(master_seed)
         self._bits = rng.bit_generator
-        self._start = self._bits.state
         self._normal = rng.standard_normal
-        self._paused = {}
+        start = self._bits.state
+        self._counter = [0, 0, 0, 0]
+        self._start = {**start, "buffer": [0, 0, 0, 0], "state": {
+            "counter": self._counter,
+            "key": [int(word) for word in start["state"]["key"]]}}
 
-    def fill(self, out, trials, resume=False, pause=False):
-        """Fill out[i] with standard normals from the stream of trials[i]:
-        from its start, or with ``resume`` from where the last call with
-        ``pause`` left that stream."""
-        bits, start, normal = self._bits, self._start, self._normal
+    def fill(self, out, trials):
+        """Fill out[i] with the first out[i].size standard normals of the
+        stream of trials[i]; return out."""
+        bits, start, counter, normal = (self._bits, self._start,
+                                        self._counter, self._normal)
         for i, trial in enumerate(trials):
-            if resume:
-                bits.state = self._paused.pop(trial)
-            else:
-                start["state"]["counter"][2] = trial
-                bits.state = start
+            counter[2] = trial
+            bits.state = start
             normal(out=out[i])
-            if pause:
-                self._paused[trial] = bits.state
+        return out
 
 
-def _complex_draws(streams, trials, scale, out, resume=False, pause=False):
-    """Fill out, a (len(trials), r, t) complex stack, with scale * (re + 1j
-    im), each trial's re then im normals drawn from its stream in one call.
+def _normals_shape(spec, k):
+    """(k, m): the standard normals k trials of ``spec`` draw, one row per
+    trial in stream order.  A complex matrix takes its real parts, then its
+    imaginary parts; a product takes its factors in order."""
+    per = spec.rows * spec.cols
+    if spec.kind == "iid_real_gaussian":
+        return k, per
+    return k, 2 * per * (spec.factors if spec.kind == "product_iid" else 1)
 
-    The normals fill the output's own memory, re block then im block per
-    trial, and are then spread in place to (re, im) pairs: the im block is
+
+def _scratch_array(scratch, shape, dtype, name):
+    """An uninitialised (shape) array named ``name`` in ``scratch``.
+
+    A call's chunks share the arrays of a ``scratch`` dict, allocated at the
+    first, largest chunk, so their pages stay mapped; a shorter last chunk
+    takes the leading part.  With ``scratch`` None the array is new.
+    """
+    if scratch is None:
+        return np.empty(shape, dtype)
+    key = name, shape[1:], dtype
+    buf = scratch.get(key)
+    if buf is None:
+        buf = scratch[key] = np.empty(shape, dtype)
+    return buf[:shape[0]]
+
+
+def _interleave(flat, scale, scratch=None):
+    """The (k, n) complex view of a (k, 2n) block of normals, each row re
+    then im values, with entries scale * (re + 1j im).
+
+    The values are spread in place to (re, im) pairs: the im block is
     copied out, and re value j moves to slot 2j in blocks [n/2, n),
     [n/4, n/2), ..., each landing at or above every value still to move.
-    So no second buffer of normals is needed: the peak is the draws plus
-    half of them, not twice them.
+    So the peak is the block plus half of it, not twice it.
     """
-    k, n = len(trials), out[0].size
-    flat = out.view(float).reshape(k, 2 * n)
-    streams.fill(flat, trials, resume, pause)
+    n = flat.shape[1] // 2
     flat *= scale
-    im = flat[:, n:].copy()
+    im = _scratch_array(scratch, (len(flat), n), float, "im")
+    np.copyto(im, flat[:, n:])
     hi = n
     while hi > 0:
         lo = hi // 2
         flat[:, 2 * lo:2 * hi:2] = flat[:, lo:hi]
         hi = lo
     flat[:, 1::2] = im
-    return out
+    return flat.view(complex)
 
 
-def _sample_chunk(spec, streams, trials, spent=None):
-    """(len(trials), rows, cols) stack of the draws of the given trials.
+def _sample_chunk(spec, normals, trials, scratch=None):
+    """(len(trials), rows, cols) stack of the draws of the given trials,
+    made from their normals in the memory of ``normals``.
 
-    ``spent`` is an earlier stack of the same spec, at least as long, that
-    is no longer needed; the draws are written into its memory.  Each
-    trial's draw is the same whichever chunk it falls in.  A product draws
-    its factors in order from each trial's stream, one factor across the
-    whole chunk at a time.
+    ``normals`` is a ``_normals_shape(spec, len(trials))`` block filled by
+    ``_TrialStreams.fill``.  Each trial's draw is the same whichever chunk
+    it falls in.  A product multiplies its square factors left to right.
     """
     r, t = spec.rows, spec.cols
     k = len(trials)
-    real = spec.kind == "iid_real_gaussian"
-    out = (np.empty((k, r, t), dtype=float if real else complex)
-           if spent is None else spent[:k])
-    if real:
-        streams.fill(out, trials)
-        return np.multiply(out, math.sqrt(spec.variance / r), out=out)
+    if spec.kind == "iid_real_gaussian":
+        np.multiply(normals, math.sqrt(spec.variance / r), out=normals)
+        return normals.reshape(k, r, t)
     if spec.kind == "haar_unitary":
-        q, upper = np.linalg.qr(_complex_draws(streams, trials, 1.0, out))
+        h = _interleave(normals, 1.0, scratch).reshape(k, r, t)
+        q, upper = np.linalg.qr(h)
         d = np.diagonal(upper, axis1=-2, axis2=-1)
         # Phase correction makes the QR draw exactly Haar-distributed.
-        return np.multiply(q, (d / np.abs(d))[:, None, :], out=out)
+        return np.multiply(q, (d / np.abs(d))[:, None, :], out=h)
     # iid_complex_gaussian, or product_iid: the left-to-right product of
     # square factors.
     scale = math.sqrt(spec.variance / (2.0 * r))
-    layers = spec.factors if spec.kind == "product_iid" else 1
-    h = _complex_draws(streams, trials, scale, out, pause=layers > 1)
-    for layer in range(1, layers):
-        f = _complex_draws(streams, trials, scale, np.empty_like(out),
-                           resume=True, pause=layer + 1 < layers)
-        h = h @ f
-    return h
+    width = 2 * r * t
+    factors = [_interleave(normals[:, lo:lo + width], scale, scratch
+                           ).reshape(k, r, t)
+               for lo in range(0, normals.shape[1], width)]
+    return functools.reduce(np.matmul, factors)
 
 
-def _serial_draws(spec, streams, chunks):
-    """Each chunk's stack, drawn into the memory of the last, whose
-    statistics are taken: one stack is alive at a time and its pages stay
-    mapped."""
-    block = None
+def _serial_normals(streams, shape, chunks):
+    """Each chunk's normals.  Chunks of several trials are filled into the
+    memory of the last chunk's, whose draws are no longer needed.  A
+    one-trial chunk gets a new block that only the caller holds, so a
+    product's factors are freed once they are multiplied."""
+    block = np.empty(shape) if shape[0] > 1 else None
     for trials in chunks:
-        block = _sample_chunk(spec, streams, trials, block)
-        yield block
+        yield streams.fill(np.empty(shape) if block is None
+                           else block[:len(trials)], trials)
 
 
-_STOP = object()  # tells the helper of _pipelined_draws to return
+_STOP = object()  # tells the helper of _pipelined_normals to return
 
 
-def _pipelined_draws(spec, streams, chunks):
-    """Each chunk's stack, the next one drawn on a helper thread while the
-    caller takes the statistics of this one.
+def _pipelined_normals(streams, shape, chunks):
+    """Each chunk's normals, the next chunk's filled on a helper thread
+    while the caller makes and reduces this chunk's draws.
 
-    Two stacks alternate: the caller hands each stack back once its
-    statistics are taken, and the helper draws the chunk after next into
-    it.  Philox fills release the GIL, so they overlap the caller's Gram
-    and factorization work.  The helper is the only thread that touches
-    ``streams`` and it draws the chunks in order, so every byte is the
-    serial loop's.  A draw's exception is raised here; closing the
-    generator stops the helper after the draw in flight and joins it.
+    The helper only runs ``streams.fill``, which releases the GIL.  Two
+    blocks alternate: the caller hands each block back when it asks for
+    the next chunk, after the draws made in the block's memory have been
+    reduced, and the helper fills the chunk after next into it.  The helper
+    is the only thread that touches ``streams`` and it fills the chunks in
+    order, so every byte is the serial loop's.  A fill's exception is
+    raised here; closing the generator stops the helper after the fill in
+    flight and joins it.
     """
-    spares, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    spares, filled = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def draw():
+    def fill():
         try:
             for trials in chunks:
                 spare = spares.get()
                 if spare is _STOP:
                     return
-                drawn.put(_sample_chunk(spec, streams, trials, spare))
+                normals = spare[:len(trials)]
+                streams.fill(normals, trials)
+                filled.put(normals)
         except BaseException as exc:  # raised again in the caller's thread
-            drawn.put(exc)
+            filled.put(exc)
 
-    helper = threading.Thread(target=draw)
+    spares.put(np.empty(shape))
+    spares.put(np.empty(shape))
+    helper = threading.Thread(target=fill)
     helper.start()
     try:
-        spares.put(None)  # the first two chunks take new stacks
-        spares.put(None)
         for _ in chunks:
-            block = drawn.get()
-            if isinstance(block, BaseException):
-                raise block
-            yield block
-            spares.put(block)
+            normals = filled.get()
+            if isinstance(normals, BaseException):
+                raise normals
+            yield normals
+            spares.put(normals)
     finally:
         spares.put(_STOP)
         helper.join()
@@ -296,7 +332,9 @@ def _usable_cpus():
 
 def sample_matrix(spec, seed, trial=0):
     """Draw one channel matrix; bit-identical for identical (spec, seed, trial)."""
-    return _sample_chunk(spec, _TrialStreams(seed), [trial])[0]
+    normals = np.empty(_normals_shape(spec, 1))
+    _TrialStreams(seed).fill(normals, [trial])
+    return _sample_chunk(spec, normals, [trial])[0]
 
 
 def apply_projector(h, proj):
@@ -333,7 +371,7 @@ def limiting_family(spec):
     return SquareIidGram(spec.variance)
 
 
-def _paired_grams(block, proj):
+def _paired_grams(block, proj, scratch=None):
     """Smaller-side Grams of a (k, r, t) stack of draws and of its
     projection, sharing one Gram product per draw where they can.
 
@@ -341,7 +379,8 @@ def _paired_grams(block, proj):
     determinants of H's, so both cuts keep the leading k of the a rows of
     an a x b matrix W.  With k >= b the reference Gram is the projected
     W_k^H W_k plus the removed rows' Gram (rank update); otherwise each
-    system gets its own Gram.
+    system gets its own Gram.  The rank update writes its conjugate and
+    Grams into arrays of ``scratch`` (see ``_scratch_array``).
     """
     receive = proj.side == "receive"
     a, b = block.shape[-2:] if receive else block.shape[:0:-1]
@@ -349,25 +388,30 @@ def _paired_grams(block, proj):
     if k < b:
         return (_gram_smaller_side(block),
                 _gram_smaller_side(apply_projector(block, proj)))
-    conj = block.conj()
+    conj = np.conjugate(
+        block, out=_scratch_array(scratch, block.shape, block.dtype, "conj"))
     w, wh = ((block, conj.swapaxes(-1, -2)) if receive
              else (conj.swapaxes(-1, -2), block))
-    proj_gram = wh[..., :k] @ w[:, :k]
-    gram = wh[..., k:] @ w[:, k:]
+    shape = len(block), b, b
+    proj_gram = np.matmul(wh[..., :k], w[:, :k], out=_scratch_array(
+        scratch, shape, block.dtype, "proj_gram"))
+    gram = np.matmul(wh[..., k:], w[:, k:],
+                     out=_scratch_array(scratch, shape, block.dtype, "gram"))
     gram += proj_gram
     return gram, proj_gram
 
 
-def _mutual_info(gram, cols, gammas):
+def _mutual_info(gram, cols, gammas, scratch=None):
     """(len(gammas), k) mutual information, in bits per transmit antenna of
     systems with ``cols`` of them, from a (k, n, n) stack of their Grams.
 
-    One gamma takes a Cholesky log-det of I + gamma G; a grid, or an
-    I + gamma G that rounds to singular at extreme SNR, takes the
-    eigenvalues of G once for every gamma.
+    One gamma takes a Cholesky log-det of I + gamma G, formed in an array
+    of ``scratch``; a grid, or an I + gamma G that rounds to singular at
+    extreme SNR, takes the eigenvalues of G once for every gamma.
     """
     if gammas.size == 1:
-        a = gammas[0] * gram
+        a = np.multiply(gammas[0], gram, out=_scratch_array(
+            scratch, gram.shape, gram.dtype, "a"))
         a += np.eye(gram.shape[-1])
         try:
             chol = np.linalg.cholesky(a)
@@ -415,35 +459,52 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     if unknown:
         raise ValueError(f"unknown statistics {unknown}; choose from {STATS}")
     gam = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if not np.all(gam > 0.0):
-        raise DomainError(f"requires gamma > 0, got {gammas}")
+    if not np.all((gam > 0.0) & (gam < math.inf)):
+        raise DomainError(f"requires finite gamma > 0, got {gammas}")
     sides = ("ref",) if proj is None else ("ref", "proj")
     out = {f"{stat}_{side}": np.empty((gam.size, trials))
            for stat in stats for side in sides}
     chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
     chunks = [range(lo, min(lo + chunk, trials))
               for lo in range(0, trials, chunk)]
-    # A one-trial chunk is a draw over 128 KiB, where a second stack costs
-    # more memory than the overlap saves; on one CPU there is no overlap.
+    # A one-trial chunk is a draw over 128 KiB.  A second block of normals
+    # would cost more memory than the overlap saves, and its temporaries
+    # are freed as soon as they are used, so the peak stays one draw and its
+    # factorization.  On one CPU there is no overlap.
     pipelined = chunk > 1 and len(chunks) > 1 and _usable_cpus() > 1
-    draws = (_pipelined_draws if pipelined else _serial_draws)(
-        spec, _TrialStreams(master_seed), chunks)
-    with contextlib.closing(draws):
-        for batch, block in zip(chunks, draws):
-            at = slice(batch.start, batch.stop)
-            systems = {"ref": block}
-            if proj is not None:
-                systems["proj"] = apply_projector(block, proj)
-            if "mi" in stats:
-                grams = ((_gram_smaller_side(block),) if proj is None
-                         else _paired_grams(block, proj))
-                for (side, stack), gram in zip(systems.items(), grams):
-                    out[f"mi_{side}"][:, at] = _mutual_info(
-                        gram, stack.shape[-1], gam)
-            if "mr" in stats:
-                for side, stack in systems.items():
-                    out[f"mr_{side}"][:, at] = _multiplexing_rate(stack, gam)
+    normals = (_pipelined_normals if pipelined else _serial_normals)(
+        _TrialStreams(master_seed), _normals_shape(spec, len(chunks[0])),
+        chunks)
+    scratch = {} if chunk > 1 else None
+    with contextlib.closing(normals):
+        for batch in chunks:
+            # No name here holds a chunk's draws, so they are freed before
+            # the next chunk is sampled.
+            values = _chunk_stats(
+                _sample_chunk(spec, next(normals), batch, scratch), proj, gam,
+                stats, scratch)
+            for name, value in values.items():
+                out[name][:, batch.start:batch.stop] = value
     return TrialStats(**out)
+
+
+def _chunk_stats(block, proj, gam, stats, scratch):
+    """The requested statistics of a (k, r, t) stack of draws, as
+    {``TrialStats`` field: (len(gam), k) array}."""
+    systems = {"ref": block}
+    if proj is not None:
+        systems["proj"] = apply_projector(block, proj)
+    values = {}
+    if "mi" in stats:
+        grams = ((_gram_smaller_side(block),) if proj is None
+                 else _paired_grams(block, proj, scratch))
+        for (side, stack), gram in zip(systems.items(), grams):
+            values[f"mi_{side}"] = _mutual_info(gram, stack.shape[-1], gam,
+                                                scratch)
+    if "mr" in stats:
+        for side, stack in systems.items():
+            values[f"mr_{side}"] = _multiplexing_rate(stack, gam)
+    return values
 
 
 def _estimate(values, master_seed):

@@ -353,6 +353,36 @@ def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["loss-curve", "--gamma-db", "4000"],
+    ["loss-curve", "--gamma-db", "-4000"],
+    ["monotonicity", "--gamma-db", "0:2000:4000"],
+    ["loss-curve", "--gamma-db=-4000,0"],
+    ["loss-convergence", "--gamma-db", "4000"],
+    ["deviation-sweep", "--gamma-db", "-4000"],
+    ["product-additivity", "--gamma-db", "3083"],
+], ids=["grid-one-overflow", "grid-one-underflow", "grid-overflow",
+        "grid-list-underflow", "scalar-overflow", "scalar-underflow",
+        "scalar-edge"])
+def test_cli_rejects_snr_outside_doubles(argv, tmp_path, capsys):
+    # 10^(dB/10) must be a finite double > 0: 4000 dB overflows and -4000
+    # dB underflows to 0, and neither may reach a traceback.
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--trials", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma_db: must be a dB value whose "
+                          "10^(dB/10) is a finite number > 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_accepts_snr_at_the_ends_of_doubles(tmp_path):
+    out = tmp_path / "x.csv"
+    assert cli.main(["loss-curve", "--gamma-db=-3000,3000", "--trials",
+                     "4", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_cli_m_needs_product_iid(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert cli.main(["loss-curve", "--m", "3", "--trials", "4",

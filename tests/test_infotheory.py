@@ -481,6 +481,54 @@ def test_positivity_checks_reject_nan(site):
         call()
 
 
+# Every gamma must be a finite SNR > 0; infinity, like NaN, is a DomainError
+# that names gamma, not a silent inf or NaN.
+_SPEC = mc.EnsembleSpec("iid_complex_gaussian", 4, 2)
+_CUT = mc.ProjectorSpec("receive", 0.5)
+GAMMA_SITES = {
+    "trial_stats": lambda g: mc.trial_stats(_SPEC, _CUT, [1.0, g], 4, 0),
+    "ergodic_loss": lambda g: mc.ergodic_loss(_SPEC, _CUT, g, 4, 0),
+    "ergodic_mutual_info": lambda g: mc.ergodic_mutual_info(
+        _SPEC, None, g, 4, 0),
+    "ergodic_multiplexing_rate": lambda g: mc.ergodic_multiplexing_rate(
+        _SPEC, _CUT, g, 4, 0),
+    "ergodic_deviation": lambda g: mc.ergodic_deviation(
+        mc.EnsembleSpec("iid_complex_gaussian", 4, 4), 0.5, g, 4, 0),
+    "mutual_info_finite": lambda g: it.mutual_info_finite(np.eye(2), g),
+    "multiplexing_rate_finite":
+        lambda g: it.multiplexing_rate_finite(np.eye(2), g),
+    "mutual_info_measure.family":
+        lambda g: it.mutual_info_measure(sp.SquareIidGram(1.0), g),
+    "mutual_info_measure.empirical":
+        lambda g: it.mutual_info_measure(EMPIRICAL, g),
+    "decompose": lambda g: it.decompose(MP, g),
+    "multiplexing_rate_s": lambda g: it.multiplexing_rate_s(MP, g),
+    "multiplexing_rate_harmonic":
+        lambda g: it.multiplexing_rate_harmonic(MP, 0.5, g),
+    "waterfilling_capacity":
+        lambda g: it.waterfilling_capacity([1.0, 2.0], g),
+}
+
+
+@pytest.mark.parametrize("gamma", [math.inf, NAN], ids=["inf", "nan"])
+@pytest.mark.parametrize("site", sorted(GAMMA_SITES))
+def test_gamma_must_be_finite(site, gamma):
+    with pytest.raises(DomainError, match="gamma"):
+        GAMMA_SITES[site](gamma)
+
+
+def test_largest_finite_gamma_is_accepted():
+    assert math.isfinite(it.mutual_info_finite(np.eye(2), 1e308))
+    assert math.isfinite(it.mutual_info_measure(sp.SquareIidGram(1.0),
+                                                1e300))
+
+
+@pytest.mark.parametrize("bad", [NAN, math.inf], ids=["nan", "inf"])
+def test_waterfilling_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(DomainError, match="finite"):
+        it.waterfilling_capacity([bad, 1.0], 1.0)
+
+
 @pytest.mark.parametrize("fn", [it.mutual_info_finite,
                                 it.multiplexing_rate_finite],
                          ids=lambda fn: fn.__name__)

@@ -53,6 +53,24 @@ def test_gaussian_draw_bytes_are_pinned(kind, rows, cols):
     assert hashlib.sha256(data).hexdigest() == PINNED_DRAWS[kind, rows, cols]
 
 
+# Seeds and trials at the ends of the 64-bit range and at a word boundary.
+EDGE_SEEDS = (0, 2 ** 63, 2 ** 64 - 1)
+EDGE_TRIALS = (0, 2 ** 32, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_rekeyed_streams_are_trial_rng_streams(seed):
+    # The Python-int start state re-keys to exactly the stream of
+    # trial_rng(seed, t), in any trial order and after any earlier fill.
+    streams = mc._TrialStreams(seed)
+    trials = EDGE_TRIALS + EDGE_TRIALS[::-1]
+    out = np.empty((len(trials), 37))
+    streams.fill(out, trials)
+    for row, trial in zip(out, trials):
+        expected = mc.trial_rng(seed, trial).standard_normal(37)
+        assert row.tobytes() == expected.tobytes()
+
+
 def test_haar_unitarity():
     u = mc.sample_matrix(mc.EnsembleSpec("haar_unitary", 64, 64), 1)
     assert np.max(np.abs(u.conj().T @ u - np.eye(64))) < 1e-12
@@ -518,18 +536,19 @@ PIPELINE_CALLS = [([1e3], ("mi",)), ([1.0, 1e3, 1e8], mc.STATS),
 
 def _three_trial_chunks(monkeypatch, spec, cpus):
     """Stack 3 trials to a chunk (10 trials: 3 + 3 + 3 + 1), let the
-    process see ``cpus`` CPUs, and return the threads that draw chunks."""
+    process see ``cpus`` CPUs, and return the threads that fill chunks
+    with Philox normals."""
     monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * spec.rows * spec.cols * 3)
     monkeypatch.setattr(mc.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     drawers = []
-    sample_chunk = mc._sample_chunk
+    fill = mc._TrialStreams.fill
 
-    def recording(*args):
+    def recording(self, out, trials):
         drawers.append(threading.current_thread())
-        return sample_chunk(*args)
+        return fill(self, out, trials)
 
-    monkeypatch.setattr(mc, "_sample_chunk", recording)
+    monkeypatch.setattr(mc._TrialStreams, "fill", recording)
     return drawers
 
 
@@ -548,8 +567,8 @@ def _stacked_reference(spec, proj, gammas, trials, seed):
 @pytest.mark.parametrize("spec, proj", PIPELINE_SPECS,
                          ids=[spec.kind for spec, _ in PIPELINE_SPECS])
 def test_pipelined_trial_stats_match_stacked_draws(monkeypatch, spec, proj):
-    # Every chunk is drawn on the helper thread, and every byte is that of
-    # the one-trial draws stacked and reduced in one chunk.
+    # Every chunk's normals are filled on the helper thread, and every byte
+    # is that of the one-trial draws stacked and reduced in one chunk.
     drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
     for gammas, stats in PIPELINE_CALLS:
         drawers.clear()
@@ -562,6 +581,44 @@ def test_pipelined_trial_stats_match_stacked_draws(monkeypatch, spec, proj):
             assert (got is None) == (name[:2] not in stats)
             if got is not None:
                 assert got.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("spec, proj", PIPELINE_SPECS,
+                         ids=[spec.kind for spec, _ in PIPELINE_SPECS])
+def test_helper_thread_only_fills_normals(monkeypatch, spec, proj):
+    # In a pipelined call the helper runs Philox fills and nothing else:
+    # scaling, the re/im interleave, the Haar QR, the product's matmuls,
+    # the Grams and every factorization run on the calling thread.
+    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def spying(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spying)
+
+    for name in ("_sample_chunk", "_interleave", "_paired_grams",
+                 "_gram_smaller_side", "_mutual_info", "_multiplexing_rate"):
+        spy(mc, name)
+    spy(np.linalg, "qr")
+    spy(np, "matmul")
+    mc.trial_stats(spec, proj, [1.0, 1e3], 10, 21)
+    assert len(drawers) == 4
+    assert len(set(drawers)) == 1
+    assert drawers[0] is not threading.main_thread()
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    names = {name for name, _ in calls}
+    assert {"_sample_chunk", "_paired_grams", "_mutual_info",
+            "_multiplexing_rate"} <= names
+    assert ("_interleave" in names) == (spec.kind != "iid_real_gaussian")
+    if spec.kind == "haar_unitary":
+        assert "qr" in names
+    if spec.kind == "product_iid":
+        assert "matmul" in names
 
 
 def test_helper_never_draws_into_a_stack_in_use(monkeypatch):
@@ -586,14 +643,14 @@ def test_helper_never_draws_into_a_stack_in_use(monkeypatch):
 def test_draw_error_propagates_and_joins_the_helper(monkeypatch):
     spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
     drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
-    sample_chunk = mc._sample_chunk
+    fill = mc._TrialStreams.fill
 
-    def failing_second(*args):
+    def failing_second(self, out, trials):
         if len(drawers) == 1:
             raise RuntimeError("draw failed")
-        return sample_chunk(*args)
+        return fill(self, out, trials)
 
-    monkeypatch.setattr(mc, "_sample_chunk", failing_second)
+    monkeypatch.setattr(mc._TrialStreams, "fill", failing_second)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
         mc.trial_stats(spec, None, [10.0], 10, 4)
