@@ -25,7 +25,6 @@ from .spectra import (
     log_mean,
     psi_inverse,
     psi_transform,
-    rank_measure,
     s_transform,
 )
 from .infotheory import (

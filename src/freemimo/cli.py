@@ -11,6 +11,7 @@ failure, 3 acceptance-suite failure (verify only).
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,10 +25,27 @@ from .experiments import (
 )
 
 
+# A flag value that starts like a negative number.
+_NUMERIC = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(self.format_usage(), file=sys.stderr, end="")
         raise ValueError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse reads a flag's value that starts with "-" but is not a
+        plain number ("-10:5:10", "-4000,0") as a flag, so such a value is
+        glued to its flag first, as --gamma-db=-10:5:10."""
+        glued = []
+        for arg in sys.argv[1:] if args is None else args:
+            if (glued and glued[-1].startswith("--") and len(glued[-1]) > 2
+                    and "=" not in glued[-1] and _NUMERIC.match(arg)):
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
 
 
 # A start:step:stop SNR grid longer than this is a typo, not an experiment.

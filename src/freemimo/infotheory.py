@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectra import EmpiricalSpectrum, default_zero_tolerance
+from .spectra import EmpiricalSpectrum
 
 _LN2 = math.log(2.0)
 
@@ -118,20 +118,16 @@ def mutual_info_finite(h, gamma):
     return logdet / h.shape[1]
 
 
-def multiplexing_rate_finite(h, gamma, zero_tolerance=None):
-    """(1/T) sum of log2(gamma lambda) over nonzero Gram eigenvalues."""
+def multiplexing_rate_finite(h, gamma):
+    """(1/T) sum of log2(gamma lambda) over the nonzero eigenvalues of the
+    min(R, T)-dimensional Gram; the other T - min(R, T) are exact zeros."""
     h = _channel(h)
     _check_gamma(gamma)
     w = np.linalg.eigvalsh(_gram_smaller_side(h))
-    w = np.maximum(w, 0.0)
-    t = h.shape[1]
-    if zero_tolerance is None:
-        # Same rank rule as EmpiricalSpectrum, on the nominal T-dim Gram.
-        zero_tolerance = default_zero_tolerance(w, t)
-    nz = w[w > zero_tolerance]
+    nz = w[w > 0.0]
     if nz.size == 0:
         return 0.0
-    return float(np.sum(np.log2(gamma * nz)) / t)
+    return float(np.sum(np.log2(gamma * nz)) / h.shape[1])
 
 
 def multiplexing_rate_s(family, gamma):

@@ -351,11 +351,12 @@ def apply_projector(h, proj):
 
 
 def empirical_spectrum(spec, seed, trial=0):
-    """Full T-dimensional Gram spectrum of one sampled matrix."""
+    """Full T-dimensional Gram spectrum of one sampled R x T matrix: the
+    eigenvalues of its smaller-side Gram and T - min(R, T) exact zeros."""
     h = sample_matrix(spec, seed, trial)
-    gram = h.conj().T @ h
-    w = np.linalg.eigvalsh(gram)
-    return EmpiricalSpectrum(np.maximum(w, 0.0))
+    w = np.maximum(np.linalg.eigvalsh(_gram_smaller_side(h)), 0.0)
+    return EmpiricalSpectrum(
+        np.concatenate([np.zeros(h.shape[1] - w.size), w]))
 
 
 def limiting_family(spec):

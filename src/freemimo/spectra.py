@@ -1,15 +1,22 @@
 """Spectral measures and their multiplicative free-probability transforms.
 
-Two kinds of measure coexist here:
+Both kinds of measure answer one protocol -- ``alpha``, ``mean``, ``psi``,
+``psi_inverse``, ``s_transform``, ``eta``, ``eta_inverse``,
+``log_s_integral``, ``log_mean`` and ``restricted`` -- and the module-level
+transforms are one method call each:
 
-* ``EmpiricalSpectrum`` -- the eigenvalues of a finite Gram matrix X^H X,
-  including its zero atoms.  Transforms are evaluated numerically from the
-  eigenvalue list; ``log_mean`` is the direct mean of log2.
 * ``SpectralFamily`` -- a parametric limiting spectral law described by its
   analytic S-transform.  Concrete variants cover the unit-scale square iid
   Gram law, Dirac masses, Bernoulli projector spectra, the law obtained by
   removing a fraction of rows (``ProjectorScaled``), and free multiplicative
   products.
+* ``EmpiricalSpectrum`` -- a ``SpectralFamily`` subclass holding the
+  eigenvalues of a finite Gram matrix X^H X, including its zero atoms.
+  Zeros are exact: an r x t draw has t - min(r, t) structural zero
+  eigenvalues, which ``montecarlo.empirical_spectrum`` appends to the
+  smaller-side Gram spectrum, so no rank threshold is needed.  Psi and eta
+  are direct means over the eigenvalues, Psi^{-1} inverts Psi, and
+  ``log_mean`` is the direct mean of log2.
 
 Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
 
@@ -19,7 +26,7 @@ Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
 
 S is positive and the natural companion of log-spectrum integrals: the mean
 of log2 over a full-rank measure equals -integral_0^1 log2 S(-z) dz.  A
-family's ``log_s_integral(x)`` is L(x) = integral_0^x ln S(-z) dz; the base
+measure's ``log_s_integral(x)`` is L(x) = integral_0^x ln S(-z) dz; the base
 class integrates it by quadrature, and a family may supply a closed form.
 Every built-in family does, from integral_0^x ln(c - z) dz; a free
 product's L is the sum of its factors' (S-transforms multiply).
@@ -31,7 +38,7 @@ with a bisection guard narrows the bracket.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +47,6 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import integrate_log_singular_upper
 
 LOG2E = math.log2(math.e)
-
-# Relative rank threshold for floating-point Gram spectra.
-ZERO_TOL_FACTOR = 2.0 ** -40
 
 # Root finding: brackets close to 4 ulps; exp overflows above _MAX_LOG.
 _XTOL = 2.0 ** -50
@@ -65,76 +69,8 @@ def _int_log(c, x):
     return x * math.log(c) - (c - x) * math.log1p(-x / c) - x
 
 
-def default_zero_tolerance(eigenvalues, dim=None):
-    """Rank threshold: max eigenvalue * dimension * 2^-40.
-
-    ``dim`` is the nominal Gram dimension; it defaults to the number of
-    eigenvalues.
-    """
-    if len(eigenvalues) == 0:
-        return 0.0
-    if dim is None:
-        dim = len(eigenvalues)
-    return float(np.max(eigenvalues)) * dim * ZERO_TOL_FACTOR
-
-
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Sorted eigenvalues of a Gram matrix, with zero-atom bookkeeping.
-
-    ``total_dim`` is the Gram dimension (the column count of the underlying
-    matrix) and must equal the number of eigenvalues; eigenvalues below
-    ``zero_tolerance`` count as zero atoms.
-    """
-
-    eigenvalues: np.ndarray
-    total_dim: int = 0
-    zero_tolerance: float = field(default=-1.0)
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        if vals.size == 0:
-            raise ValueError("empty spectrum")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum contains non-finite eigenvalues")
-        if vals[0] < 0.0:
-            floor = -1e-8 * max(1.0, abs(vals[-1]))
-            if vals[0] < floor:
-                raise ValueError(f"negative eigenvalue {vals[0]} in Gram spectrum")
-            vals = np.maximum(vals, 0.0)
-        object.__setattr__(self, "eigenvalues", vals)
-        dim = self.total_dim if self.total_dim else vals.size
-        if dim != vals.size:
-            raise ValueError(
-                f"total_dim {dim} != number of eigenvalues {vals.size}")
-        object.__setattr__(self, "total_dim", int(dim))
-        tol = self.zero_tolerance
-        if tol < 0.0:
-            tol = default_zero_tolerance(vals)
-        object.__setattr__(self, "zero_tolerance", float(tol))
-
-    @property
-    def alpha(self):
-        """Normalized rank: fraction of eigenvalues above the zero tolerance."""
-        return float(np.count_nonzero(self.eigenvalues > self.zero_tolerance)
-                     / self.total_dim)
-
-    @property
-    def nonzero(self):
-        return self.eigenvalues[self.eigenvalues > self.zero_tolerance]
-
-    def restricted(self):
-        """The spectrum of nonzero eigenvalues as a full-rank measure."""
-        nz = self.nonzero
-        if nz.size == self.total_dim:
-            return self
-        if nz.size == 0:
-            raise DomainError("all-zero spectrum has no nonzero restriction")
-        return EmpiricalSpectrum(nz, zero_tolerance=self.zero_tolerance)
-
-
 class SpectralFamily:
-    """A limiting spectral law on [0, inf) described by an analytic S-transform.
+    """A spectral measure on [0, inf) described by its S-transform.
 
     Subclasses provide ``alpha`` and ``s_transform``; Psi and eta (and their
     inverses) derive from those, Psi through the numeric inverse of the
@@ -181,6 +117,12 @@ class SpectralFamily:
         return integrate_log_singular_upper(
             lambda z: math.log(self.s_transform(-z)), 0.0, x)
 
+    def log_mean(self):
+        """Mean of log2 over the nonzero spectrum, in bits: the S-transform
+        identity mean(log2) = -integral_0^1 log2 S(-z) dz applied to the
+        restricted law, that is -L(1)/ln 2."""
+        return -self.restricted().log_s_integral(1.0) / math.log(2.0)
+
     @cached_property
     def mean(self):
         """First moment; equals 1/S(0-)."""
@@ -191,6 +133,97 @@ class SpectralFamily:
         if self.alpha >= 1.0:
             return self
         return Restricted(self)
+
+
+@dataclass(frozen=True)
+class EmpiricalSpectrum(SpectralFamily):
+    """Sorted eigenvalues of a Gram matrix, zero atoms included.
+
+    ``total_dim`` is the Gram dimension (the column count of the underlying
+    matrix) and must equal the number of eigenvalues.  Eigenvalues at or
+    below ``zero_tolerance``, by default exactly 0, count as zero atoms.
+    """
+
+    eigenvalues: np.ndarray
+    total_dim: int = 0
+    zero_tolerance: float = 0.0
+
+    def __post_init__(self):
+        vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
+        if vals.size == 0:
+            raise ValueError("empty spectrum")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum contains non-finite eigenvalues")
+        if vals[0] < 0.0:
+            floor = -1e-8 * max(1.0, abs(vals[-1]))
+            if vals[0] < floor:
+                raise ValueError(f"negative eigenvalue {vals[0]} in Gram spectrum")
+            vals = np.maximum(vals, 0.0)
+        object.__setattr__(self, "eigenvalues", vals)
+        dim = self.total_dim if self.total_dim else vals.size
+        if dim != vals.size:
+            raise ValueError(
+                f"total_dim {dim} != number of eigenvalues {vals.size}")
+        object.__setattr__(self, "total_dim", int(dim))
+        if not 0.0 <= self.zero_tolerance < math.inf:
+            raise ValueError(
+                f"zero_tolerance must be finite and >= 0, got "
+                f"{self.zero_tolerance}")
+
+    @property
+    def alpha(self):
+        """Normalized rank: fraction of eigenvalues above the zero tolerance."""
+        return float(np.count_nonzero(self.eigenvalues > self.zero_tolerance)
+                     / self.total_dim)
+
+    @property
+    def nonzero(self):
+        return self.eigenvalues[self.eigenvalues > self.zero_tolerance]
+
+    @cached_property
+    def mean(self):
+        return float(np.mean(self.eigenvalues))
+
+    def psi(self, z):
+        """Mean of z x / (1 - z x), safe for huge |z|; a zero eigenvalue
+        contributes 0 even at z = -inf."""
+        if z >= 0.0:
+            raise DomainError(f"Psi requires z < 0, got {z}")
+        lam = self.eigenvalues
+        with np.errstate(invalid="ignore"):
+            w = -z * lam
+            vals = -w / (1.0 + w)
+        vals = np.where(np.isfinite(vals), vals, -1.0)
+        return float(np.mean(np.where(lam > 0.0, vals, 0.0)))
+
+    def psi_inverse(self, y):
+        self._check_s_domain(y)
+        return invert_psi(self.psi, y, self.mean)
+
+    def s_transform(self, z):
+        return (z + 1.0) / z * self.psi_inverse(z)
+
+    def eta(self, gamma):
+        if not gamma > 0.0:
+            raise DomainError(f"eta requires gamma > 0, got {gamma}")
+        lam = self.eigenvalues
+        with np.errstate(invalid="ignore"):
+            vals = 1.0 / (1.0 + gamma * lam)
+        # A zero eigenvalue contributes 1, even at gamma = inf.
+        return float(np.mean(np.where(lam > 0.0, vals, 1.0)))
+
+    def log_mean(self):
+        """The direct mean of log2 over the nonzero eigenvalues."""
+        return float(np.mean(np.log2(self.restricted().eigenvalues)))
+
+    def restricted(self):
+        """The spectrum of nonzero eigenvalues as a full-rank measure."""
+        nz = self.nonzero
+        if nz.size == self.total_dim:
+            return self
+        if nz.size == 0:
+            raise DomainError("all-zero spectrum has no nonzero restriction")
+        return EmpiricalSpectrum(nz, zero_tolerance=self.zero_tolerance)
 
 
 @dataclass(frozen=True)
@@ -420,15 +453,24 @@ def _psi_from_inverse(family, z):
     """Psi(z) of a family: the y in (-alpha, 0) with Psi^{-1}(y) = z, solved
     for t = log(-y / (alpha + y)), in which log(-Psi^{-1}) is about linear
     at both ends, from Jensen's y = -w/(1+w), w = -z * mean, if inside.
-    The start is at most t = 30: past t of about 36.7, alpha + y is below
-    one ulp of alpha and y_of gives NaN, even where the root lies lower."""
+
+    The walk starts at t <= 30.  Past t of about 36.7, alpha + y is below
+    one ulp of alpha, and y_of saturates at ``edge``, the double of
+    (-alpha, 0) nearest -alpha.  Jensen's bound on the nonzero part puts
+    the root at t <= log(w / alpha), so only past 30 can it lie beyond
+    edge: then, Psi^{-1} diverging at -alpha, z is at or past
+    Psi^{-1}(edge), and Psi(z) is edge, which moves the mutual information,
+    stationary in y, by about an ulp."""
     a, m = family.alpha, family.mean
+    edge = math.nextafter(-a, 0.0)
+    log_w = math.log(-z) + math.log(m)
+    if log_w - math.log(a) > 30.0 and z <= family.psi_inverse(edge):
+        return edge
 
     def y_of(t):
         y = -a / (1.0 + math.exp(-t)) if t > -_MAX_LOG else 0.0
-        return y if -a < y < 0.0 else math.nan
+        return (y if y > edge else edge) if y < 0.0 else math.nan
 
-    log_w = math.log(-z) + math.log(m)
     d = a + (1.0 - a) * z * m  # alpha (1 + w) - w: > 0 iff the bound is inside
     return _log_root(family.psi_inverse, z, y_of,
                      min(log_w - math.log(d) if d > 0.0 else log_w, 30.0),
@@ -444,91 +486,39 @@ def invert_psi(psi, y, mean):
         math.log(-y) - math.log1p(y) - math.log(mean), f"Psi = {y}")
 
 
-def _psi_empirical(eigenvalues, z):
-    """Psi of a discrete spectrum: mean of z x / (1 - z x), safe for huge |z|;
-    a zero eigenvalue contributes 0 even at z = -inf."""
-    with np.errstate(invalid="ignore"):
-        w = -z * eigenvalues
-        vals = -w / (1.0 + w)
-    vals = np.where(np.isfinite(vals), vals, -1.0)
-    return float(np.mean(np.where(eigenvalues > 0.0, vals, 0.0)))
-
-
 # ---------------------------------------------------------------------------
-# measure-generic operations
+# measure-generic operations: one method call each
 # ---------------------------------------------------------------------------
-
-def rank_measure(measure):
-    """Normalized rank alpha in [0, 1] (fraction of nonzero spectrum)."""
-    return measure.alpha
-
 
 def psi_transform(measure, z):
     """Psi(z) = integral of z x / (1 - z x) dP(x), for z < 0."""
-    if z >= 0.0:
-        raise DomainError(f"Psi requires z < 0, got {z}")
-    if isinstance(measure, SpectralFamily):
-        return measure.psi(z)
-    return _psi_empirical(measure.eigenvalues, z)
+    return measure.psi(z)
 
 
 def psi_inverse(measure, y):
     """The unique z < 0 with Psi(z) = y, for y strictly inside (-alpha, 0)."""
-    alpha = rank_measure(measure)
-    if not -alpha < y < 0.0:
-        raise DomainError(f"psi_inverse requires y in (-{alpha}, 0), got {y}")
-    if isinstance(measure, SpectralFamily):
-        return measure.psi_inverse(y)
-    return invert_psi(lambda z: _psi_empirical(measure.eigenvalues, z), y,
-                      float(np.mean(measure.eigenvalues)))
+    return measure.psi_inverse(y)
 
 
 def s_transform(measure, z):
     """S(z) = (z + 1)/z * Psi^{-1}(z) on (-alpha, 0); positive there."""
-    alpha = rank_measure(measure)
-    if not -alpha < z < 0.0:
-        raise DomainError(f"S-transform requires z in (-{alpha}, 0), got {z}")
-    if isinstance(measure, SpectralFamily):
-        return measure.s_transform(z)
-    return (z + 1.0) / z * psi_inverse(measure, z)
+    return measure.s_transform(z)
 
 
 def eta_transform(measure, gamma):
     """eta(gamma) = integral of 1/(1 + gamma x) dP(x); decreasing, eta(0+) = 1."""
-    if not gamma > 0.0:
-        raise DomainError(f"eta requires gamma > 0, got {gamma}")
-    if isinstance(measure, SpectralFamily):
-        return measure.eta(gamma)
-    lam = measure.eigenvalues
-    with np.errstate(invalid="ignore"):
-        vals = 1.0 / (1.0 + gamma * lam)
-    # A zero eigenvalue contributes 1, even at gamma = inf.
-    return float(np.mean(np.where(lam > 0.0, vals, 1.0)))
+    return measure.eta(gamma)
 
 
 def eta_inverse(measure, t):
     """gamma > 0 with eta(gamma) = t, for t in the open range (1 - alpha, 1)."""
-    alpha = rank_measure(measure)
-    if not 1.0 - alpha < t < 1.0:
-        raise DomainError(
-            f"eta_inverse requires t in ({1.0 - alpha}, 1), got {t}")
-    if isinstance(measure, SpectralFamily):
-        return measure.eta_inverse(t)
-    return -psi_inverse(measure, t - 1.0)
+    return measure.eta_inverse(t)
 
 
 def log_mean(measure):
-    """Mean of log2 over the nonzero spectrum, in bits.
-
-    An empirical spectrum takes the direct mean of log2 over its nonzero
-    eigenvalues.  A family is evaluated through the S-transform identity
-    mean(log2) = -integral_0^1 log2 S(-z) dz applied to the restricted law,
-    that is -L(1)/ln 2 with L its ``log_s_integral``.
-    """
-    m = measure.restricted()
-    if isinstance(m, EmpiricalSpectrum):
-        return float(np.mean(np.log2(m.eigenvalues)))
-    return -m.log_s_integral(1.0) / math.log(2.0)
+    """Mean of log2 over the nonzero spectrum, in bits: the direct mean for
+    an empirical spectrum, -L(1)/ln 2 of the restricted law for a family."""
+    return measure.log_mean()
 
 
 def entropy_integral_check(p):

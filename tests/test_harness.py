@@ -231,6 +231,18 @@ def test_cli_loss_curve(tmp_path, capsys):
     assert len(lines) == 4  # header + 3 grid points
 
 
+def test_cli_negative_grid_with_spaced_flag(tmp_path):
+    # argparse alone would read the spaced "-10:5:10" as a flag.
+    spaced, glued = tmp_path / "spaced.csv", tmp_path / "glued.csv"
+    tail = ["--trials", "4", "--seed", "3", "--out"]
+    assert cli.main(["loss-curve", "--gamma-db", "-10:5:10"]
+                    + tail + [str(spaced)]) == 0
+    assert cli.main(["loss-curve", "--gamma-db=-10:5:10"]
+                    + tail + [str(glued)]) == 0
+    assert spaced.read_bytes() == glued.read_bytes()
+    assert len(spaced.read_text().splitlines()) == 6  # header + 5 points
+
+
 def test_cli_grid_parsing():
     assert cli._parse_grid("gamma_db", "0:2:40") == [
         float(v) for v in range(0, 41, 2)]
@@ -358,12 +370,13 @@ def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     ["loss-curve", "--gamma-db", "-4000"],
     ["monotonicity", "--gamma-db", "0:2000:4000"],
     ["loss-curve", "--gamma-db=-4000,0"],
+    ["loss-curve", "--gamma-db", "-4000,0"],
     ["loss-convergence", "--gamma-db", "4000"],
     ["deviation-sweep", "--gamma-db", "-4000"],
     ["product-additivity", "--gamma-db", "3083"],
 ], ids=["grid-one-overflow", "grid-one-underflow", "grid-overflow",
-        "grid-list-underflow", "scalar-overflow", "scalar-underflow",
-        "scalar-edge"])
+        "grid-list-underflow", "grid-list-underflow-spaced",
+        "scalar-overflow", "scalar-underflow", "scalar-edge"])
 def test_cli_rejects_snr_outside_doubles(argv, tmp_path, capsys):
     # 10^(dB/10) must be a finite double > 0: 4000 dB overflows and -4000
     # dB underflows to 0, and neither may reach a traceback.

@@ -137,6 +137,23 @@ def test_free_product_mutual_info_past_jensen_start(gamma):
         assert abs(mi - _mi_free_product(m, gamma)) <= 1e-12 * mi
 
 
+@pytest.mark.parametrize("family", [
+    sp.ProjectorScaled(MP, 0.5),
+    sp.ProjectorScaled(MP, 0.5).restricted(),
+], ids=["ProjectorScaled", "Restricted"])
+def test_family_mutual_info_past_last_double_of_psi(family):
+    # Past gamma of about 1.8e16, alpha + Psi(-gamma) is below one ulp of
+    # alpha: Psi settles on the double of (-alpha, 0) nearest -alpha, and
+    # the mutual information, stationary in Psi, is the multiplexing rate.
+    previous = it.mutual_info_measure(family, 1e15)
+    for gamma in (1e16, 1e20, 1e300):
+        mi = it.mutual_info_measure(family, gamma)
+        i0 = it.multiplexing_rate_s(family, gamma)
+        assert math.isfinite(mi) and mi >= previous
+        assert abs(mi - i0) <= 1e-15 * i0
+        previous = mi
+
+
 class _CountingFactor(sp.SpectralFamily):
     """Wraps a family and counts its S-transform evaluations."""
 
@@ -305,6 +322,10 @@ def test_multiplexing_rate_finite_examples():
     assert abs(it.multiplexing_rate_finite(np.eye(2), 4.0) - 2.0) < 1e-14
     h = np.diag([0.0, math.sqrt(2.0)])
     assert abs(it.multiplexing_rate_finite(h, 2.0) - 1.0) < 1e-14
+    # Only exact zeros are dropped: 1e-12 is rank, though below a
+    # max * dim * 2^-40 threshold (1.8e-12).
+    h = np.diag([1e-6, 1.0])
+    assert it.multiplexing_rate_finite(h, 1.0) == math.log2(1e-12) / 2.0
 
 
 def test_multiplexing_rate_two_code_paths_agree():

@@ -400,8 +400,8 @@ def test_trial_stats_chunking_never_changes_a_byte(monkeypatch):
 
 def test_product_multiplexing_rate_matches_slogdet():
     # The Gram of a product of two 512x512 factors has genuine eigenvalues
-    # below spectra.default_zero_tolerance; a rank rule would drop them and
-    # bias the rate.
+    # below max * dim * 2^-40; a relative rank threshold would drop them
+    # and bias the rate.
     n, gamma = 512, 1e6
     spec = mc.EnsembleSpec("product_iid", n, n, 1.0, factors=2)
     proj = mc.ProjectorSpec("receive", 0.5)

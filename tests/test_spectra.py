@@ -41,17 +41,33 @@ def test_binary_entropy_symmetry_and_domain():
 def test_rank_measure_counting():
     spec = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]),
                                 zero_tolerance=1e-12)
-    assert sp.rank_measure(spec) == 0.5
-    assert sp.rank_measure(sp.EmpiricalSpectrum(np.zeros(5))) == 0.0
+    assert spec.alpha == 0.5
+    assert sp.EmpiricalSpectrum(np.zeros(5)).alpha == 0.0
+    # Zeros are exact: a tiny eigenvalue is rank, not a zero atom.
+    assert sp.EmpiricalSpectrum(np.array([0.0, 1e-300, 1.0])).alpha == 2 / 3
 
 
 def test_rank_of_sampled_fat_gram():
-    # 256 x 512 draw: the 512-dim Gram has rank 256.
-    h = mc.sample_matrix(mc.EnsembleSpec("iid_complex_gaussian", 256, 512), 5)
-    spec = mc.empirical_spectrum(mc.EnsembleSpec("iid_complex_gaussian",
-                                                 256, 512), 5)
-    assert np.linalg.matrix_rank(h) == 256
-    assert sp.rank_measure(spec) == 0.5
+    # 256 x 512 draw: the 512-dim Gram has rank 256 and exactly 256 exact
+    # zeros, appended structurally; a tall 1024 x 512 draw has none.
+    for rows, cols in ((256, 512), (1024, 512)):
+        spec = mc.EnsembleSpec("iid_complex_gaussian", rows, cols)
+        h = mc.sample_matrix(spec, 5)
+        emp = mc.empirical_spectrum(spec, 5)
+        rank = min(rows, cols)
+        assert np.linalg.matrix_rank(h) == rank
+        assert emp.total_dim == cols
+        assert np.count_nonzero(emp.eigenvalues == 0.0) == cols - rank
+        assert emp.alpha == rank / cols
+
+
+def test_product_draw_is_full_rank():
+    # C7's two-factor draw: its smallest eigenvalue, 2.27e-11, is genuine
+    # rank, though below a relative max * dim * 2^-40 threshold (6.1e-9).
+    emp = mc.empirical_spectrum(
+        mc.EnsembleSpec("product_iid", 1024, 1024, 1.0, factors=2), 702)
+    assert 2e-11 < emp.eigenvalues[0] < 3e-11
+    assert emp.alpha == 1.0
 
 
 def test_spectrum_validation():
@@ -59,6 +75,9 @@ def test_spectrum_validation():
         sp.EmpiricalSpectrum(np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         sp.EmpiricalSpectrum(np.array([1.0, 2.0]), total_dim=3)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sp.EmpiricalSpectrum(np.array([1.0, 2.0]), zero_tolerance=bad)
     spec = sp.EmpiricalSpectrum(np.array([3.0, 1.0, 2.0]))
     assert list(spec.eigenvalues) == [1.0, 2.0, 3.0]
 
@@ -116,7 +135,7 @@ def test_psi_inverse_examples():
     sp.FreeProduct(MP, sp.SquareIidGram(2.0)),
 ])
 def test_psi_roundtrip_families(measure):
-    alpha = sp.rank_measure(measure)
+    alpha = measure.alpha
     for frac in (0.05, 0.3, 0.6, 0.95):
         y = -alpha * frac
         z = sp.psi_inverse(measure, y)
@@ -300,6 +319,31 @@ def test_projector_scaling_rule_sampled():
     for z in (-0.6, -0.3):
         assert abs(sp.s_transform(restricted, z)
                    - MP.s_transform(0.5 * z)) < 0.05
+
+
+# S(z) at z = -0.75, -0.5, -0.25 and eta^{-1}(t) at t = 0.25, 0.5, 0.75 of
+# the 1024 x 512 iid complex draw of the benchmark's analytic workload
+# (seed 1000), recorded from the module-level transforms.
+RECORDED_S = (1.6008941983791778, 1.3344167321478029, 1.143626559253706)
+RECORDED_ETA_INV = (4.802682595137534, 1.3344167321478029, 0.3812088530845687)
+
+
+def test_empirical_methods_match_public_functions():
+    emp = mc.empirical_spectrum(
+        mc.EnsembleSpec("iid_complex_gaussian", 1024, 512, 1.0), 1000)
+    for z, ref in zip((-0.75, -0.5, -0.25), RECORDED_S):
+        value = emp.s_transform(z)
+        assert value == sp.s_transform(emp, z)
+        # The last bits of eigvalsh depend on the LAPACK build.
+        assert abs(value - ref) <= 1e-13 * ref
+    for t, ref in zip((0.25, 0.5, 0.75), RECORDED_ETA_INV):
+        value = emp.eta_inverse(t)
+        assert value == sp.eta_inverse(emp, t)
+        assert abs(value - ref) <= 1e-13 * ref
+    assert emp.psi(-2.0) == sp.psi_transform(emp, -2.0)
+    assert emp.psi_inverse(-0.3) == sp.psi_inverse(emp, -0.3)
+    assert emp.eta(2.0) == sp.eta_transform(emp, 2.0)
+    assert emp.mean == float(np.mean(emp.eigenvalues))
 
 
 def test_projector_scaled_alpha_rule():
