@@ -3,8 +3,12 @@
 Each criterion returns a ``CriterionResult`` whose checks carry the measured
 value, the pinned tolerance, and a pass flag.  ``run_all`` executes the whole
 suite; the ``verify`` experiment and tests/test_acceptance.py are thin
-wrappers around it.  All Monte Carlo checks use fixed seeds and are therefore
-bit-reproducible.
+wrappers around it.  The Monte Carlo criteria C1-C5 run experiments through
+``run_experiment`` and read their numbers from the result tables, so every
+such gate is a ``freemimo`` command a user can repeat (README, "Command
+line"), and a seed offset for it is a shift of each config's
+``master_seed``.  All Monte Carlo checks use fixed seeds, so they reproduce
+bit for bit on the same numpy/BLAS build and BLAS thread count.
 """
 
 import math
@@ -52,6 +56,12 @@ class CriterionResult:
         return "; ".join(parts)
 
 
+def _run(experiment, **params):
+    """The ResultTable of one experiment run, as ``freemimo <experiment>``
+    with these parameters writes it."""
+    return ex.run_experiment(ex.ExperimentConfig(experiment, params))
+
+
 def criterion_1():
     """Figure-style 4x2 loss at 30 dB: Monte Carlo vs the closed form.
 
@@ -61,17 +71,13 @@ def criterion_1():
     diverges at the origin.
     """
     res = CriterionResult("C1", "4x2 ergodic loss at 30 dB (complex 3.4, real 4.3)")
-    gamma = 10.0 ** 3  # 30 dB
-    trials = 100_000
-    proj = mc.ProjectorSpec("receive", 0.5)
-    est_c = mc.ergodic_loss(
-        mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 16.0), proj, gamma,
-        trials, master_seed=101)
-    res.check("complex total loss vs 3.4", abs(2.0 * est_c.mean - 3.4), 0.1)
-    est_r = mc.ergodic_loss(
-        mc.EnsembleSpec("iid_real_gaussian", 4, 2, 16.0), proj, gamma,
-        trials, master_seed=102)
-    res.check("real total loss vs 4.3", abs(2.0 * est_r.mean - 4.3), 0.15)
+    for name, ensemble, seed, total, tol in (
+            ("complex total loss vs 3.4", "iid_complex_gaussian", 101, 3.4, 0.1),
+            ("real total loss vs 4.3", "iid_real_gaussian", 102, 4.3, 0.15)):
+        loss = _run("loss-convergence", n_list=[4], phi=0.5, beta=0.5,
+                    sigma2=16.0, gamma_db=30.0, trials=100_000,
+                    ensemble=ensemble, master_seed=seed).column("loss_mc_bits")
+        res.check(name, abs(2.0 * loss[0] - total), tol)
     formula_total = 2.0 * asy.binary_entropy_loss(0.5, 0.5)
     res.check("closed form reports 4.0 total", abs(formula_total - 4.0), 1e-12)
     return res
@@ -89,49 +95,39 @@ def criterion_2():
     convergence seed-independently against the exact Wishart oracle.
     """
     res = CriterionResult("C2", "loss convergence: phi=0.5 beta=0.75 gamma=1e4")
-    gamma = 1e4
-    target = asy.binary_entropy_loss(0.5, 0.75)
-    discrepancies = {}
-    proj = mc.ProjectorSpec("receive", 0.75)
-    for n, trials in ((64, 150_000), (512, 3_000)):
-        spec = mc.EnsembleSpec("iid_complex_gaussian", n, n // 2, 1.0)
-        s = mc.trial_stats(spec, proj, [gamma], trials, 203, ("mi",))
-        discrepancies[n] = abs(float(np.mean(s.mi_ref[0] - s.mi_proj[0]))
-                               - target)
-    res.check("|loss(512) - 0.622556|", discrepancies[512], 0.05)
-    res.check("discrepancy(512) < discrepancy(64)",
-              discrepancies[512] - discrepancies[64], 0.0,
-              passed=discrepancies[512] < discrepancies[64])
+    d64, d512 = (_run("loss-convergence", n_list=[n], phi=0.5, beta=0.75,
+                      gamma_db=40.0, trials=trials, master_seed=203
+                      ).column("discrepancy_bits")[0]
+                 for n, trials in ((64, 150_000), (512, 3_000)))
+    res.check("|loss(512) - 0.622556|", d512, 0.05)
+    res.check("discrepancy(512) < discrepancy(64)", d512 - d64, 0.0,
+              passed=d512 < d64)
     return res
 
 
 def criterion_3():
     """Deviation from linear growth: square iid 0.5; unitary exactly 0."""
     res = CriterionResult("C3", "deviation: iid N=512 -> 0.5, Haar N=256 -> 0")
-    est = mc.ergodic_deviation(
-        mc.EnsembleSpec("iid_complex_gaussian", 512, 512, 1.0), 0.5, 1e6,
-        trials=200, master_seed=303)
-    res.check("|dev(iid, N=512) - 0.5|", abs(est.mean - 0.5), 0.05)
-    est_u = mc.ergodic_deviation(
-        mc.EnsembleSpec("haar_unitary", 256, 256), 0.5, 1e6,
-        trials=50, master_seed=304)
-    res.check("|dev(Haar, N=256)|", abs(est_u.mean), 0.02)
+    dev = _run("deviation-sweep", n=512, beta_list=[0.5], gamma_db=60.0,
+               trials=200, master_seed=303).column("dev_mc_bits")
+    res.check("|dev(iid, N=512) - 0.5|", abs(dev[0] - 0.5), 0.05)
+    dev = _run("deviation-sweep", ensemble="haar_unitary", n=256,
+               beta_list=[0.5], gamma_db=60.0, trials=50,
+               master_seed=304).column("dev_mc_bits")
+    res.check("|dev(Haar, N=256)|", abs(dev[0]), 0.02)
     return res
 
 
 def criterion_4():
-    """Additivity of the deviation for a two-factor product channel."""
+    """Additivity of the deviation for a two-factor product channel: the
+    product draws with seed 404, its two single factors with 405 and 406."""
     res = CriterionResult("C4", "product m=2 deviation: 1.0 and additivity")
-    beta, gamma, trials = 0.5, 1e6, 200
-    est_p = mc.ergodic_deviation(
-        mc.EnsembleSpec("product_iid", 512, 512, 1.0, factors=2), beta, gamma,
-        trials, master_seed=404)
-    res.check("|dev(product) - 1.0|", abs(est_p.mean - 1.0), 0.1)
-    single = mc.EnsembleSpec("iid_complex_gaussian", 512, 512, 1.0)
-    est_1 = mc.ergodic_deviation(single, beta, gamma, trials, master_seed=405)
-    est_2 = mc.ergodic_deviation(single, beta, gamma, trials, master_seed=406)
+    table = _run("product-additivity", n=512, m=2, beta=0.5, gamma_db=60.0,
+                 trials=200, master_seed=404)
+    res.check("|dev(product) - 1.0|", table.column("discrepancy_bits")[0], 0.1)
     res.check("|dev(product) - (dev1 + dev2)|",
-              abs(est_p.mean - est_1.mean - est_2.mean), 0.05)
+              abs(table.column("dev_product_bits")[0]
+                  - table.column("dev_factor_sum_bits")[0]), 0.05)
     return res
 
 
@@ -139,8 +135,7 @@ def criterion_5():
     """Ergodic loss grows with SNR and is capped by the closed form: the
     monotonicity experiment (4x2, beta = 0.5, 0:5:40 dB, 20,000 trials)."""
     res = CriterionResult("C5", "loss monotone in SNR, bounded by closed form")
-    table = ex.run_experiment(ex.ExperimentConfig(
-        "monotonicity", {"sigma2": 16.0, "master_seed": 505}))
+    table = _run("monotonicity", sigma2=16.0, master_seed=505)
     means, ses = table.column("loss_bits"), table.column("stderr_bits")
     worst = max([0.0] + [means[i - 1] - means[i] - 3.0 * (ses[i] + ses[i - 1])
                          for i in range(1, len(means))])

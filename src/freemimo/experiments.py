@@ -2,8 +2,9 @@
 
 Each experiment consumes a validated ``ExperimentConfig`` and produces a
 ``ResultTable`` whose rows are plain JSON scalars; ``emit`` writes CSV or
-JSON.  Identical (config, seed) re-runs reproduce output files byte for byte,
-except for the wall-clock metadata fields (JSON only: ``wall_clock_s``, and
+JSON.  Identical (config, seed) re-runs on the same numpy/BLAS build and
+BLAS thread count reproduce output files byte for byte, except for the
+wall-clock metadata fields (JSON only: ``wall_clock_s``, and
 ``criterion_seconds`` for ``verify``), which are excluded from the
 determinism guarantee.
 """
@@ -29,8 +30,10 @@ from .montecarlo import (
     EnsembleSpec,
     ProjectorSpec,
     ergodic_deviation,
+    ergodic_loss,
     kept_count,
     limiting_family,
+    mean_stderr,
     trial_stats,
 )
 from .spectra import (
@@ -308,12 +311,6 @@ def _ensemble(p, rows, cols):
     return EnsembleSpec(p["ensemble"], rows, cols, p["sigma2"], p["m"])
 
 
-def _mean_se(a):
-    """Means and standard errors over the last axis (the trials)."""
-    return (np.mean(a, axis=-1),
-            np.std(a, axis=-1, ddof=1) / math.sqrt(a.shape[-1]))
-
-
 def _convergence_shapes(p):
     """(n, round-half-up phi n) of each loss-convergence channel."""
     return [(n, kept_count(p["phi"], n)) for n in p["n_list"]]
@@ -331,7 +328,7 @@ def _receive_stats(p, stats):
 def _run_loss_curve(p):
     s = _receive_stats(p, ("mi", "mr"))
     # total bits, all transmit antennas
-    loss, stderr = _mean_se((s.mi_ref - s.mi_proj) * p["cols"])
+    loss, stderr = mean_stderr((s.mi_ref - s.mi_proj) * p["cols"])
     columns = [np.mean(a, axis=-1) for a in
                (s.mi_ref, s.mr_ref, s.mi_proj, s.mr_proj)] + [loss, stderr]
     return ["gamma_db", "mi_ref_bits", "mr_ref_bits", "mi_proj_bits",
@@ -346,13 +343,11 @@ def _run_loss_convergence(p):
     table_rows = []
     proj = ProjectorSpec("receive", p["beta"])
     for n, cols in _convergence_shapes(p):
-        spec = _ensemble(p, n, cols)
         with _row_context("loss-convergence", n=n):
-            s = trial_stats(spec, proj, [gamma], p["trials"], p["master_seed"],
-                            ("mi",))
-        mean, se = _mean_se(s.mi_ref[0] - s.mi_proj[0])
-        table_rows.append([n, float(mean), float(se), asym,
-                           abs(float(mean) - asym)])
+            est = ergodic_loss(_ensemble(p, n, cols), proj, gamma, p["trials"],
+                               p["master_seed"])
+        table_rows.append([n, est.mean, est.stderr, asym,
+                           abs(est.mean - asym)])
     return ["n", "loss_mc_bits", "stderr_bits", "loss_asymptotic_bits",
             "discrepancy_bits"], table_rows
 
@@ -392,7 +387,7 @@ def _run_product_additivity(p):
 
 def _run_monotonicity(p):
     s = _receive_stats(p, ("mi",))
-    loss, stderr = _mean_se(s.mi_ref - s.mi_proj)  # per transmit antenna
+    loss, stderr = mean_stderr(s.mi_ref - s.mi_proj)  # per transmit antenna
     ok = [1] + [int(loss[i] >= loss[i - 1] - 3.0 * (stderr[i] + stderr[i - 1]))
                 for i in range(1, len(loss))]
     return ["gamma_db", "loss_bits", "stderr_bits", "nondecreasing"], [

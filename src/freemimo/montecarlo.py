@@ -20,8 +20,8 @@ runs nothing but the fills, which release the GIL, and it is then the only
 thread that uses the call's streams; everything else runs on the calling
 thread, on the same path as the serial loop.  Each trial's stream is fixed
 by (seed, trial), so which thread fills a trial never changes a byte.
-Trial reductions (mean, standard error) are computed over an array indexed
-by trial, which numpy sums in a fixed order.
+Trial reductions (mean, standard error: ``mean_stderr``) are computed over
+an array indexed by trial, which numpy sums in a fixed order.
 
 Factorizations.  Mutual information at a single gamma is a log-det from a
 Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
@@ -105,15 +105,12 @@ class ProjectorSpec:
 
     side: str
     beta: float
-    mode: str = "leading"
 
     def __post_init__(self):
         if self.side not in ("receive", "transmit"):
             raise ValueError(f"side must be receive or transmit, got {self.side!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if self.mode != "leading":
-            raise ValueError(f"unsupported projector mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -508,10 +505,15 @@ def _chunk_stats(block, proj, gam, stats, scratch):
     return values
 
 
+def mean_stderr(values):
+    """Means and standard errors over the last axis (the trials)."""
+    return (np.mean(values, axis=-1),
+            np.std(values, axis=-1, ddof=1) / math.sqrt(values.shape[-1]))
+
+
 def _estimate(values, master_seed):
-    n = values.size
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n))
-    return ErgodicEstimate(float(np.mean(values)), stderr, n, master_seed)
+    mean, stderr = mean_stderr(values)
+    return ErgodicEstimate(float(mean), float(stderr), values.size, master_seed)
 
 
 def ergodic_mutual_info(spec, proj, gamma, trials, master_seed):

@@ -139,13 +139,11 @@ class SpectralFamily:
 class EmpiricalSpectrum(SpectralFamily):
     """Sorted eigenvalues of a Gram matrix, zero atoms included.
 
-    ``total_dim`` is the Gram dimension (the column count of the underlying
-    matrix) and must equal the number of eigenvalues.  Eigenvalues at or
-    below ``zero_tolerance``, by default exactly 0, count as zero atoms.
+    Eigenvalues at or below ``zero_tolerance``, by default exactly 0, count
+    as zero atoms.
     """
 
     eigenvalues: np.ndarray
-    total_dim: int = 0
     zero_tolerance: float = 0.0
 
     def __post_init__(self):
@@ -160,15 +158,15 @@ class EmpiricalSpectrum(SpectralFamily):
                 raise ValueError(f"negative eigenvalue {vals[0]} in Gram spectrum")
             vals = np.maximum(vals, 0.0)
         object.__setattr__(self, "eigenvalues", vals)
-        dim = self.total_dim if self.total_dim else vals.size
-        if dim != vals.size:
-            raise ValueError(
-                f"total_dim {dim} != number of eigenvalues {vals.size}")
-        object.__setattr__(self, "total_dim", int(dim))
         if not 0.0 <= self.zero_tolerance < math.inf:
             raise ValueError(
                 f"zero_tolerance must be finite and >= 0, got "
                 f"{self.zero_tolerance}")
+
+    @property
+    def total_dim(self):
+        """The Gram dimension (the column count of the underlying matrix)."""
+        return self.eigenvalues.size
 
     @property
     def alpha(self):

@@ -73,8 +73,6 @@ def test_product_draw_is_full_rank():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         sp.EmpiricalSpectrum(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        sp.EmpiricalSpectrum(np.array([1.0, 2.0]), total_dim=3)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             sp.EmpiricalSpectrum(np.array([1.0, 2.0]), zero_tolerance=bad)
