@@ -13,13 +13,14 @@ writes each trial's standard normals into one block, trial by trial, and
 (scale, re/im interleave, Haar QR or the product of the factors).  The
 stack is then factored in one batched LAPACK call.  Every matrix of a stack
 is drawn and factored on its own, so chunking never changes a result byte.
-When a call has several chunks of more than one trial each and the process
-may run on two or more CPUs, one helper thread fills the next chunk's
-normals while the caller samples and factors the current one.  The helper
-runs nothing but the fills, which release the GIL, and it is then the only
-thread that uses the call's streams; everything else runs on the calling
-thread, on the same path as the serial loop.  Each trial's stream is fixed
-by (seed, trial), so which thread fills a trial never changes a byte.
+When a call has several chunks of more than one trial each, one helper
+thread fills the next chunk's normals while the caller samples and factors
+the current one.  The helper runs nothing but the fills, which release the
+GIL, and it is then the only thread that uses the call's streams;
+everything else runs on the calling thread, on the same path as the serial
+loop that serves one-chunk calls and one-trial chunks.  Each trial's stream
+is fixed by (seed, trial), so which thread fills a trial never changes a
+byte.
 Trial reductions (mean, standard error: ``mean_stderr``) are computed over
 an array indexed by trial, which numpy sums in a fixed order.
 
@@ -38,7 +39,6 @@ otherwise.  Neither squares H's condition number.
 import contextlib
 import functools
 import math
-import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -262,17 +262,6 @@ def _sample_chunk(spec, normals, trials, scratch=None):
     return functools.reduce(np.matmul, factors)
 
 
-def _serial_normals(streams, shape, chunks):
-    """Each chunk's normals.  Chunks of several trials are filled into the
-    memory of the last chunk's, whose draws are no longer needed.  A
-    one-trial chunk gets a new block that only the caller holds, so a
-    product's factors are freed once they are multiplied."""
-    block = np.empty(shape) if shape[0] > 1 else None
-    for trials in chunks:
-        yield streams.fill(np.empty(shape) if block is None
-                           else block[:len(trials)], trials)
-
-
 _STOP = object()  # tells the helper of _pipelined_normals to return
 
 
@@ -317,14 +306,6 @@ def _pipelined_normals(streams, shape, chunks):
     finally:
         spares.put(_STOP)
         helper.join()
-
-
-def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
 
 
 def sample_matrix(spec, seed, trial=0):
@@ -465,14 +446,16 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
     chunks = [range(lo, min(lo + chunk, trials))
               for lo in range(0, trials, chunk)]
-    # A one-trial chunk is a draw over 128 KiB.  A second block of normals
-    # would cost more memory than the overlap saves, and its temporaries
-    # are freed as soon as they are used, so the peak stays one draw and its
-    # factorization.  On one CPU there is no overlap.
-    pipelined = chunk > 1 and len(chunks) > 1 and _usable_cpus() > 1
-    normals = (_pipelined_normals if pipelined else _serial_normals)(
-        _TrialStreams(master_seed), _normals_shape(spec, len(chunks[0])),
-        chunks)
+    # A one-chunk call has nothing to overlap.  A one-trial chunk is a draw
+    # over 128 KiB: a second block of normals would cost more memory than
+    # the overlap saves.  The serial loop gives each chunk a new block that
+    # only the caller holds, so a one-trial chunk's draw and temporaries are
+    # freed once reduced, and the peak stays one draw and its factorization.
+    streams = _TrialStreams(master_seed)
+    shape = _normals_shape(spec, len(chunks[0]))
+    normals = (_pipelined_normals(streams, shape, chunks)
+               if chunk > 1 and len(chunks) > 1 else
+               (streams.fill(np.empty(shape), batch) for batch in chunks))
     scratch = {} if chunk > 1 else None
     with contextlib.closing(normals):
         for batch in chunks:

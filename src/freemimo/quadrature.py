@@ -112,8 +112,7 @@ def integrate(f, a, b, abs_tol=_DEFAULT_ABS_TOL, rel_tol=_DEFAULT_REL_TOL,
         panels.append((mid, hi, rval, rerr, depth + 1))
 
 
-def integrate_log_singular_upper(f, a, b, abs_tol=_DEFAULT_ABS_TOL,
-                                 rel_tol=_DEFAULT_REL_TOL):
+def integrate_log_singular_upper(f, a, b):
     """Integrate f on [a, b] where f may diverge logarithmically at z -> b.
 
     Substitutes u = -log((b - z)/(b - a)), so z = b - (b - a) e^(-u) and the
@@ -130,5 +129,4 @@ def integrate_log_singular_upper(f, a, b, abs_tol=_DEFAULT_ABS_TOL,
         w = math.exp(-u)
         return f(b - span * w) * span * w
 
-    return integrate(g, 0.0, MAX_U, abs_tol=abs_tol, rel_tol=rel_tol,
-                     initial_splits=4)
+    return integrate(g, 0.0, MAX_U, initial_splits=4)

@@ -139,12 +139,11 @@ class SpectralFamily:
 class EmpiricalSpectrum(SpectralFamily):
     """Sorted eigenvalues of a Gram matrix, zero atoms included.
 
-    Eigenvalues at or below ``zero_tolerance``, by default exactly 0, count
-    as zero atoms.
+    Zeros are exact: every method counts rank as the eigenvalues > 0.
     """
 
     eigenvalues: np.ndarray
-    zero_tolerance: float = 0.0
+    zero_tolerance = 0.0  # a class constant, not a field; bench/ reads it
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -158,10 +157,6 @@ class EmpiricalSpectrum(SpectralFamily):
                 raise ValueError(f"negative eigenvalue {vals[0]} in Gram spectrum")
             vals = np.maximum(vals, 0.0)
         object.__setattr__(self, "eigenvalues", vals)
-        if not 0.0 <= self.zero_tolerance < math.inf:
-            raise ValueError(
-                f"zero_tolerance must be finite and >= 0, got "
-                f"{self.zero_tolerance}")
 
     @property
     def total_dim(self):
@@ -170,13 +165,13 @@ class EmpiricalSpectrum(SpectralFamily):
 
     @property
     def alpha(self):
-        """Normalized rank: fraction of eigenvalues above the zero tolerance."""
-        return float(np.count_nonzero(self.eigenvalues > self.zero_tolerance)
+        """Normalized rank: the fraction of eigenvalues > 0."""
+        return float(np.count_nonzero(self.eigenvalues > 0.0)
                      / self.total_dim)
 
     @property
     def nonzero(self):
-        return self.eigenvalues[self.eigenvalues > self.zero_tolerance]
+        return self.eigenvalues[self.eigenvalues > 0.0]
 
     @cached_property
     def mean(self):
@@ -221,7 +216,7 @@ class EmpiricalSpectrum(SpectralFamily):
             return self
         if nz.size == 0:
             raise DomainError("all-zero spectrum has no nonzero restriction")
-        return EmpiricalSpectrum(nz, zero_tolerance=self.zero_tolerance)
+        return EmpiricalSpectrum(nz)
 
 
 @dataclass(frozen=True)
@@ -348,8 +343,6 @@ class FreeProduct(SpectralFamily):
     factors: tuple
 
     def __init__(self, *factors):
-        if len(factors) == 1 and isinstance(factors[0], (tuple, list)):
-            factors = tuple(factors[0])
         if not factors:
             raise ValueError("FreeProduct requires at least one factor")
         object.__setattr__(self, "factors", tuple(factors))
@@ -458,12 +451,21 @@ def _psi_from_inverse(family, z):
     the root at t <= log(w / alpha), so only past 30 can it lie beyond
     edge: then, Psi^{-1} diverging at -alpha, z is at or past
     Psi^{-1}(edge), and Psi(z) is edge, which moves the mutual information,
-    stationary in y, by about an ulp."""
+    stationary in y, by about an ulp.  Every law has -Psi^{-1}(y) >=
+    -y alpha / (m (alpha + y)) by Jensen, tight for a Dirac nonzero part;
+    a Psi^{-1}(edge) short of it by more than rounding is no law's, and
+    raises ConvergenceError as the walk does."""
     a, m = family.alpha, family.mean
     edge = math.nextafter(-a, 0.0)
     log_w = math.log(-z) + math.log(m)
-    if log_w - math.log(a) > 30.0 and z <= family.psi_inverse(edge):
-        return edge
+    if log_w - math.log(a) > 30.0:
+        z_edge = family.psi_inverse(edge)
+        if z_edge * (1.0 + 1e-9) > edge * a / (m * (a + edge)):
+            raise ConvergenceError(
+                f"cannot bracket Psi at z = {z}: Psi^-1({edge}) = {z_edge} "
+                f"breaks Jensen's bound")
+        if z <= z_edge:
+            return edge
 
     def y_of(t):
         y = -a / (1.0 + math.exp(-t)) if t > -_MAX_LOG else 0.0

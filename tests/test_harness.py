@@ -330,7 +330,9 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     (["loss-curve", "--ensemble", "haar_unitary"], "rows, cols"),
     (["monotonicity", "--ensemble", "haar_unitary"], "rows, cols"),
     (["loss-curve", "--ensemble", "product_iid"], "rows, cols"),
-    (["loss-convergence", "--ensemble", "haar_unitary"], "phi"),
+    (["loss-convergence", "--ensemble", "haar_unitary"], "ensemble"),
+    (["loss-convergence", "--ensemble", "product_iid", "--phi", "1",
+      "--beta", "1"], "ensemble"),
     (["loss-convergence", "--phi", "0.9"], "beta"),
     (["loss-curve", "--beta", "abc"], "beta"),
     (["deviation-sweep", "--beta", "0.5,x"], "beta_list"),
@@ -348,7 +350,8 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
     (["loss-curve", "--trials", "x"], "trials"),
     (["deviation-sweep", "--ensemble", "haar_unitary", "--m", "2"], "m"),
 ], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
-        "convergence-haar", "convergence-beta-below-phi", "beta-abc",
+        "convergence-haar", "convergence-product",
+        "convergence-beta-below-phi", "beta-abc",
         "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
         "grid-too-long", "beta-two-values", "n-two-values",
         "transforms-trials", "loss-curve-family", "haar-sigma2",
@@ -434,11 +437,14 @@ def test_cli_one_value_flags(tmp_path):
 
 
 def test_square_ensembles_validate_on_square_shapes():
+    # loss-convergence takes iid channels only: a square one cut to
+    # beta >= phi = 1 loses nothing.
     for kind in ("haar_unitary", "product_iid"):
         assert not ExperimentConfig("loss-curve", {
             "ensemble": kind, "rows": 4, "cols": 4}).validate()
-        assert not ExperimentConfig("loss-convergence", {
+        errors = ExperimentConfig("loss-convergence", {
             "ensemble": kind, "phi": 1.0, "beta": 1.0}).validate()
+        assert [e.split(":")[0] for e in errors] == ["ensemble"]
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "freemimo-config/1", '

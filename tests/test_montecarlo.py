@@ -534,13 +534,10 @@ PIPELINE_CALLS = [([1e3], ("mi",)), ([1.0, 1e3, 1e8], mc.STATS),
                   ([1e6], ("mr",))]
 
 
-def _three_trial_chunks(monkeypatch, spec, cpus):
-    """Stack 3 trials to a chunk (10 trials: 3 + 3 + 3 + 1), let the
-    process see ``cpus`` CPUs, and return the threads that fill chunks
-    with Philox normals."""
+def _three_trial_chunks(monkeypatch, spec):
+    """Stack 3 trials to a chunk (10 trials: 3 + 3 + 3 + 1) and return the
+    threads that fill chunks with Philox normals."""
     monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * spec.rows * spec.cols * 3)
-    monkeypatch.setattr(mc.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
     drawers = []
     fill = mc._TrialStreams.fill
 
@@ -569,7 +566,7 @@ def _stacked_reference(spec, proj, gammas, trials, seed):
 def test_pipelined_trial_stats_match_stacked_draws(monkeypatch, spec, proj):
     # Every chunk's normals are filled on the helper thread, and every byte
     # is that of the one-trial draws stacked and reduced in one chunk.
-    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    drawers = _three_trial_chunks(monkeypatch, spec)
     for gammas, stats in PIPELINE_CALLS:
         drawers.clear()
         s = mc.trial_stats(spec, proj, gammas, 10, 21, stats)
@@ -589,7 +586,7 @@ def test_helper_thread_only_fills_normals(monkeypatch, spec, proj):
     # In a pipelined call the helper runs Philox fills and nothing else:
     # scaling, the re/im interleave, the Haar QR, the product's matmuls,
     # the Grams and every factorization run on the calling thread.
-    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    drawers = _three_trial_chunks(monkeypatch, spec)
     calls = []
 
     def spy(owner, name):
@@ -625,7 +622,7 @@ def test_helper_never_draws_into_a_stack_in_use(monkeypatch):
     # Statistics that take far longer than a draw: a helper that wrote
     # into the stack being reduced would change the bytes.
     spec, proj = PIPELINE_SPECS[0]
-    _three_trial_chunks(monkeypatch, spec, cpus=2)
+    _three_trial_chunks(monkeypatch, spec)
     rate = mc._multiplexing_rate
 
     def slow(stack, gam):
@@ -642,7 +639,7 @@ def test_helper_never_draws_into_a_stack_in_use(monkeypatch):
 
 def test_draw_error_propagates_and_joins_the_helper(monkeypatch):
     spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
-    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    drawers = _three_trial_chunks(monkeypatch, spec)
     fill = mc._TrialStreams.fill
 
     def failing_second(self, out, trials):
@@ -660,7 +657,7 @@ def test_draw_error_propagates_and_joins_the_helper(monkeypatch):
 
 def test_stats_error_joins_the_helper(monkeypatch):
     spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
-    _three_trial_chunks(monkeypatch, spec, cpus=2)
+    _three_trial_chunks(monkeypatch, spec)
     calls = []
 
     def failing_second(*args):
@@ -676,30 +673,9 @@ def test_stats_error_joins_the_helper(monkeypatch):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("no_affinity", [False, True],
-                         ids=["affinity", "cpu_count"])
-def test_one_cpu_draws_on_the_calling_thread(monkeypatch, no_affinity):
-    spec, proj = PIPELINE_SPECS[0]
-    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
-    pipelined = mc.trial_stats(spec, proj, [1.0, 1e3], 10, 6)
-    if no_affinity:
-        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
-    else:
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
-    drawers.clear()
-    threads = threading.active_count()
-    serial = mc.trial_stats(spec, proj, [1.0, 1e3], 10, 6)
-    assert drawers == [threading.main_thread()] * 4
-    assert threading.active_count() == threads
-    for name in ("mi_ref", "mi_proj", "mr_ref", "mr_proj"):
-        assert getattr(serial, name).tobytes() == getattr(pipelined,
-                                                          name).tobytes()
-
-
 def test_one_trial_chunks_draw_on_the_calling_thread(monkeypatch):
     spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
-    drawers = _three_trial_chunks(monkeypatch, spec, cpus=2)
+    drawers = _three_trial_chunks(monkeypatch, spec)
     monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
     mc.trial_stats(spec, None, [10.0], 5, 4)
     assert drawers == [threading.main_thread()] * 5
@@ -707,11 +683,12 @@ def test_one_trial_chunks_draw_on_the_calling_thread(monkeypatch):
 
 def test_concurrent_pipelined_calls_share_nothing(monkeypatch):
     # Three callers, each with its own helper, on fewer cores, switching
-    # threads every 10 us: every call still gets the serial bytes.
+    # threads every 10 us: every call still gets the bytes of the serial
+    # loop's one-trial chunks.
     spec, proj = PIPELINE_SPECS[0]
-    _three_trial_chunks(monkeypatch, spec, cpus=1)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
     serial = mc.trial_stats(spec, proj, [1e3], 30, 8)
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1})
+    _three_trial_chunks(monkeypatch, spec)
     results = [None] * 3
 
     def call(i):

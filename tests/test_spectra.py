@@ -39,8 +39,7 @@ def test_binary_entropy_symmetry_and_domain():
 # ---------------------------------------------------------------------------
 
 def test_rank_measure_counting():
-    spec = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]),
-                                zero_tolerance=1e-12)
+    spec = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]))
     assert spec.alpha == 0.5
     assert sp.EmpiricalSpectrum(np.zeros(5)).alpha == 0.0
     # Zeros are exact: a tiny eigenvalue is rank, not a zero atom.
@@ -73,9 +72,11 @@ def test_product_draw_is_full_rank():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         sp.EmpiricalSpectrum(np.array([1.0, -0.5]))
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            sp.EmpiricalSpectrum(np.array([1.0, 2.0]), zero_tolerance=bad)
+    # Zeros are exact: the constructor takes no tolerance, and the class
+    # constant reads 0.
+    with pytest.raises(TypeError):
+        sp.EmpiricalSpectrum(np.array([1.0]), zero_tolerance=1e-12)
+    assert sp.EmpiricalSpectrum.zero_tolerance == 0.0
     spec = sp.EmpiricalSpectrum(np.array([3.0, 1.0, 2.0]))
     assert list(spec.eigenvalues) == [1.0, 2.0, 3.0]
 
@@ -260,8 +261,12 @@ def test_psi_root_convergence_errors():
         sp.SpectralFamily.psi(sp.FreeProduct(MP, MP), -1e-320)
     with pytest.raises(ConvergenceError):
         _BoundedInverse().psi(-10.0)
+    # Past t = 30 its Psi^{-1}(edge) = -1 breaks Jensen's bound, so Psi
+    # does not settle on the edge of (-alpha, 0).
+    with pytest.raises(ConvergenceError):
+        _BoundedInverse().psi(-1e30)
     # Psi reaches -0.99 only beyond z = -1e308, which overflows.
-    spec = sp.EmpiricalSpectrum(np.array([1e-307, 1.0]), zero_tolerance=0.0)
+    spec = sp.EmpiricalSpectrum(np.array([1e-307, 1.0]))
     with pytest.raises(ConvergenceError):
         sp.psi_inverse(spec, -0.99)
     with pytest.raises(ConvergenceError):
