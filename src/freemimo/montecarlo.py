@@ -11,10 +11,11 @@ engine stacks trials in chunks.  Each chunk is sampled in two steps: a fill
 writes each trial's standard normals into one block, trial by trial, and
 ``_sample_chunk`` turns the block into the chunk's draws in its own memory
 (scale, re/im interleave, Haar QR or the product of the factors).  The
-stack is then factored in one batched LAPACK call.  Every matrix of a stack
-is drawn and factored on its own, so chunking never changes a result byte.
+stack is then reduced, by batched LAPACK calls or by a closed form (see
+Factorizations).  Every matrix of a stack is drawn and reduced on its own,
+so chunking never changes a result byte.
 When a call has several chunks of more than one trial each, one helper
-thread fills the next chunk's normals while the caller samples and factors
+thread fills the next chunk's normals while the caller samples and reduces
 the current one.  The helper runs nothing but the fills, which release the
 GIL, and it is then the only thread that uses the call's streams;
 everything else runs on the calling thread, on the same path as the serial
@@ -24,7 +25,15 @@ byte.
 Trial reductions (mean, standard error: ``mean_stderr``) are computed over
 an array indexed by trial, which numpy sums in a fixed order.
 
-Factorizations.  Mutual information at a single gamma is a log-det from a
+Factorizations.  A system with two antennas on its smaller side (4 x 2,
+2 x 2, 2 x 4) is reduced without BLAS or LAPACK: its 2 x 2 Gram's
+invariants are sums over H's two columns (two rows, for a wide H), its
+eigenvalues have a closed form (``_two_antenna_invariants``), and one
+expression in them gives the mutual information at one gamma and over a
+grid.  iid draws are sampled without BLAS too, so their two-antenna
+statistics do not depend on the BLAS thread count.  Every other system is
+factored.
+Mutual information at a single gamma is a log-det from a
 Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
 grid of gammas it comes from one ``eigvalsh`` of G per draw.  One Gram
 product per draw serves the reference and its projection when both Grams
@@ -424,6 +433,71 @@ def _multiplexing_rate(stack, gammas):
     return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
 
 
+def _inner(u, v):
+    """(Re u^H v, Im u^H v) of each row pair of two (k, n) arrays; Im is
+    None for real arrays.  The sums are of real products, which numpy's
+    complex multiply (fused on some CPUs) is not, so v = u gives exactly
+    (|u|^2, 0)."""
+    if not np.iscomplexobj(u):
+        return np.sum(u * v, axis=1), None
+    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+    return (np.sum(ur * vr + ui * vi, axis=1),
+            np.sum(ur * vi - ui * vr, axis=1))
+
+
+def _two_antenna_invariants(stack):
+    """(lam_max, lam_min, log2 det G), each of shape (k,), of the 2 x 2
+    smaller-side Gram G of each draw of a (k, r, t) stack with
+    min(r, t) = 2.
+
+    G is the Gram of two vectors u, v: H's columns, or its rows when H is
+    wide.  With a = |u|^2, d = |v|^2 and g = u^H v, the larger eigenvalue
+    is (a + d)/2 + hypot((a - d)/2, |g|), a sum of nonnegative terms.  det G
+    is the product p q of p = a and q = |v - (g/a) u|^2, the residual of v
+    off u, without the cancellation of a d - |g|^2 (q = d when u = 0, so
+    det G = 0).  The smaller eigenvalue is (p / lam_max) q, which neither
+    overflows nor underflows where det G would.  A draw with a zero vector or two equal vectors has det G = 0
+    exactly, so log2 det G = -inf.
+    """
+    r, t = stack.shape[1:]
+    u, v = ((stack[:, :, 0], stack[:, :, 1]) if r >= t
+            else (stack[:, 0], stack[:, 1]))
+    a, d = _inner(u, u)[0], _inner(v, v)[0]
+    g_re, g_im = _inner(u, v)
+    a_safe = np.where(a > 0.0, a, 1.0)  # u = 0 has g = 0
+    coef = g_re / a_safe
+    if g_im is not None:
+        coef = coef + 1j * (g_im / a_safe)
+    residual = v - coef[:, None] * u
+    p, q = a, _inner(residual, residual)[0]
+    g_abs = np.abs(g_re) if g_im is None else np.hypot(g_re, g_im)
+    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), g_abs)
+    lam_min = p / np.where(lam_max > 0.0, lam_max, 1.0) * q  # H = 0: 0
+    with np.errstate(divide="ignore"):
+        logdet = np.log2(p) + np.log2(q)
+    return lam_max, lam_min, logdet
+
+
+def _two_antenna_stats(stack, gammas, stats):
+    """{statistic: (len(gammas), k) array} of the requested ``stats`` of a
+    (k, r, t) stack with min(r, t) = 2, from its closed-form invariants.
+
+    The mutual information sums log2(1 + gamma lam) over both eigenvalues,
+    one entry per (gamma, draw), so one gamma gives the bits of the grid's
+    entry at that gamma.  The multiplexing rate is
+    (2 log2 gamma + log2 det G) / t.
+    """
+    lam_max, lam_min, logdet = _two_antenna_invariants(stack)
+    gam, cols = gammas[:, None], stack.shape[-1]
+    values = {}
+    if "mi" in stats:
+        values["mi"] = (np.log2(1.0 + gam * lam_max)
+                        + np.log2(1.0 + gam * lam_min)) / cols
+    if "mr" in stats:
+        values["mr"] = (2.0 * np.log2(gam) + logdet) / cols
+    return values
+
+
 def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     """Per-trial statistics of the reference draw and of its projection.
 
@@ -475,15 +549,24 @@ def _chunk_stats(block, proj, gam, stats, scratch):
     systems = {"ref": block}
     if proj is not None:
         systems["proj"] = apply_projector(block, proj)
-    values = {}
-    if "mi" in stats:
-        grams = ((_gram_smaller_side(block),) if proj is None
-                 else _paired_grams(block, proj, scratch))
-        for (side, stack), gram in zip(systems.items(), grams):
+    values, lapack = {}, {}
+    for side, stack in systems.items():
+        if min(stack.shape[1:]) != 2:
+            lapack[side] = stack
+            continue
+        for stat, value in _two_antenna_stats(stack, gam, stats).items():
+            values[f"{stat}_{side}"] = value
+    if "mi" in stats and lapack:
+        # _paired_grams shares a Gram product only between systems with the
+        # same smaller side, so a system left here alone has its own Gram
+        # there too.
+        grams = (_paired_grams(block, proj, scratch) if len(lapack) == 2
+                 else [_gram_smaller_side(s) for s in lapack.values()])
+        for (side, stack), gram in zip(lapack.items(), grams):
             values[f"mi_{side}"] = _mutual_info(gram, stack.shape[-1], gam,
                                                 scratch)
     if "mr" in stats:
-        for side, stack in systems.items():
+        for side, stack in lapack.items():
             values[f"mr_{side}"] = _multiplexing_rate(stack, gam)
     return values
 

@@ -172,6 +172,24 @@ def test_monotonicity_flags():
     assert all(flag == 1 for flag in table.column("nondecreasing"))
 
 
+@pytest.mark.parametrize("rows, cols", [(4, 2), (8, 4)],
+                         ids=["4x2-closed-form", "8x4-lapack"])
+def test_monotonicity_loss_is_loss_curve_loss_per_antenna(rows, cols):
+    # On one grid and seed, monotonicity's loss and stderr per transmit
+    # antenna are loss-curve's totals over T bit for bit: T is a power of
+    # two, so the scaling is exact, and the mutual information does not
+    # depend on whether the multiplexing rate was also computed.  3000
+    # trials span two chunks of 4 x 2 draws and six of 8 x 4.
+    params = {"rows": rows, "cols": cols, "trials": 3000, "master_seed": 11,
+              "gamma_db": [-10.0, 0.0, 10.0, 40.0, 80.0]}
+    curve = run_experiment(ExperimentConfig("loss-curve", dict(params)))
+    mono = run_experiment(ExperimentConfig("monotonicity", dict(params)))
+    for mono_column, curve_column in (("loss_bits", "loss_total_bits"),
+                                      ("stderr_bits", "stderr_bits")):
+        assert mono.column(mono_column) == [
+            total / cols for total in curve.column(curve_column)]
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------

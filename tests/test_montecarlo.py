@@ -329,21 +329,26 @@ GRAM_RULE_CASES = [
      mc.ProjectorSpec("receive", 0.5)),
     ("separate", mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
      mc.ProjectorSpec("receive", 0.25)),
+    ("rank_update", mc.EnsembleSpec("iid_real_gaussian", 2, 2, 1.0),
+     mc.ProjectorSpec("receive", 1.0)),
 ]
 GRAM_RULE_IDS = ["complex4x2", "real4x2", "transmit2x4", "complex64x32",
                  "product8", "haar16", "transmit4x2", "receive2x4",
-                 "complex64x32-beta0.25"]
+                 "complex64x32-beta0.25", "real2x2-beta1"]
 
 
 @pytest.mark.parametrize("spec, proj", [c[1:] for c in GRAM_RULE_CASES],
                          ids=GRAM_RULE_IDS)
 def test_trial_stats_match_reference_path(spec, proj):
-    # A grid takes the eigenvalue route and one gamma the Cholesky route.
-    # Both reference routes work on a Gram matrix, which squares the
-    # condition number kappa of H; their own rounding is about
-    # eps * kappa^2, so that is allowed on top of 1e-12.
+    # A system with two antennas on its smaller side (4 x 2, 2 x 2, 2 x 4)
+    # takes the closed form at every gamma; any other takes the eigenvalue
+    # route over a grid and the Cholesky route at one gamma.  The references
+    # work on a Gram matrix, which squares the condition number kappa of H;
+    # their own rounding is about eps * kappa^2, so that is allowed on top
+    # of 1e-12.  The grid's ends, 1e-12 and 1e300, check that neither
+    # route loses the small-SNR slope or overflows at extreme SNR.
     trials = 60
-    for gammas in ([1.0, 1e3, 1e8], [1e3]):
+    for gammas in ([1e-12, 1.0, 1e3, 1e8, 1e300], [1e3]):
         s = mc.trial_stats(spec, proj, gammas, trials, 5)
         for t in range(trials):
             h = mc.sample_matrix(spec, 5, t)
@@ -381,21 +386,34 @@ def test_trial_stats_only_computes_requested():
         mc.trial_stats(spec, None, [10.0], 1, 1)
 
 
-def test_trial_stats_chunking_never_changes_a_byte(monkeypatch):
-    # 64x32 complex draws stack 8 to a chunk, so 300 trials span 38 chunks
-    # and a 130-trial run ends mid-chunk.
-    spec = mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0)
-    proj = mc.ProjectorSpec("receive", 0.75)
+def _assert_chunking_never_changes_a_byte(monkeypatch, spec, proj, trials,
+                                          prefix_trials):
     gammas = [10.0, 1e4]
-    full = mc.trial_stats(spec, proj, gammas, 300, 8)
-    prefix = mc.trial_stats(spec, proj, gammas, 130, 8)
+    full = mc.trial_stats(spec, proj, gammas, trials, 8)
+    prefix = mc.trial_stats(spec, proj, gammas, prefix_trials, 8)
     monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
-    one_at_a_time = mc.trial_stats(spec, proj, gammas, 300, 8)
+    one_at_a_time = mc.trial_stats(spec, proj, gammas, trials, 8)
     for name in ("mi_ref", "mi_proj", "mr_ref", "mr_proj"):
-        assert np.array_equal(getattr(full, name)[:, :130],
+        assert np.array_equal(getattr(full, name)[:, :prefix_trials],
                               getattr(prefix, name))
         assert np.array_equal(getattr(full, name),
                               getattr(one_at_a_time, name))
+
+
+def test_trial_stats_chunking_never_changes_a_byte(monkeypatch):
+    # 64x32 complex draws stack 8 to a chunk, so 300 trials span 38
+    # pipelined chunks and a 130-trial run ends mid-chunk.
+    _assert_chunking_never_changes_a_byte(
+        monkeypatch, mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 1.0),
+        mc.ProjectorSpec("receive", 0.75), 300, 130)
+
+
+def test_two_antenna_chunking_never_changes_a_byte(monkeypatch):
+    # 4x2 draws stack 2048 to a chunk, so 4500 trials span three
+    # pipelined chunks and a 2100-trial run ends mid-chunk.
+    _assert_chunking_never_changes_a_byte(
+        monkeypatch, mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 16.0),
+        mc.ProjectorSpec("receive", 0.5), 4500, 2100)
 
 
 def test_product_multiplexing_rate_matches_slogdet():
@@ -432,14 +450,16 @@ def test_one_gamma_mutual_info_falls_back_when_cholesky_fails():
 
 
 def test_cholesky_fallback_fires_per_system(monkeypatch):
-    # The reference draws have full rank, but the two kept rows of the
-    # first have rank one (the Gram of the test above), so only the
-    # projected I + gamma G rounds to singular at gamma = 1e30: the
-    # projection falls back to eigvalsh, and the reference keeps its
-    # Cholesky log-det.
-    block = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                      [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]])
-    spec = mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0)
+    # The reference draws have full rank, but the three kept rows of the
+    # first have rank two: its first two are dependent, and their Gram is
+    # that of the test above.  So only the projected I + gamma G rounds to
+    # singular at gamma = 1e30: the projection falls back to eigvalsh, and
+    # the reference keeps its Cholesky log-det.  (Three columns: a
+    # two-antenna draw takes no Cholesky at all.)
+    eye = np.eye(3)
+    block = np.array([[[2.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                       *eye], [*eye, *eye]])
+    spec = mc.EnsembleSpec("iid_real_gaussian", 6, 3, 1.0)
     proj = mc.ProjectorSpec("receive", 0.5)
     gamma = 1e30
     monkeypatch.setattr(mc, "_sample_chunk",
@@ -454,16 +474,70 @@ def test_cholesky_fallback_fires_per_system(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spying)
     s = mc.trial_stats(spec, proj, [gamma], 2, 0, ("mi",))
-    assert eig_calls == [(2, 2, 2)]
+    assert eig_calls == [(2, 3, 3)]
     with pytest.raises(np.linalg.LinAlgError):
-        it.mutual_info_finite(block[0, :2], gamma)
+        it.mutual_info_finite(block[0, :3], gamma)
     for t in range(2):
         assert abs(s.mi_ref[0, t] - it.mutual_info_finite(block[t], gamma)
                    ) < 1e-12
-    w = np.linalg.eigvalsh(it._gram_smaller_side(block[:, :2]))
-    expected = np.sum(np.log2(1.0 + gamma * np.maximum(w, 0.0)), axis=1) / 2
+    w = np.linalg.eigvalsh(it._gram_smaller_side(block[:, :3]))
+    expected = np.sum(np.log2(1.0 + gamma * np.maximum(w, 0.0)), axis=1) / 3
     assert np.array_equal(s.mi_proj[0], expected)
+    assert abs(s.mi_proj[0, 0] - (math.log2(8e30) + math.log2(1e30)) / 3
+               ) < 1e-12
+
+
+def test_two_antenna_rank_one_cut_at_extreme_snr(monkeypatch):
+    # Full-rank 4 x 2 draws whose two kept rows have rank one (the first)
+    # or full rank (the second).  At gamma = 1e30 the Cholesky route fails
+    # on the rank-one kept rows; the closed form gives the singular Gram's
+    # one eigenvalue, 8, and an exact zero, and the full-rank references
+    # match mutual_info_finite.
+    block = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                      [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]])
+    spec = mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0)
+    proj = mc.ProjectorSpec("receive", 0.5)
+    gamma = 1e30
+    monkeypatch.setattr(mc, "_sample_chunk",
+                        lambda spec, streams, trials, spent=None:
+                        block[:len(trials)])
+    s = mc.trial_stats(spec, proj, [gamma], 2, 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        it.mutual_info_finite(block[0, :2], gamma)
     assert abs(s.mi_proj[0, 0] - math.log2(8e30) / 2) < 1e-12
+    assert s.mr_proj[0, 0] == -math.inf
+    for t in range(2):
+        assert abs(s.mi_ref[0, t] - it.mutual_info_finite(block[t], gamma)
+                   ) < 1e-12
+
+
+@pytest.mark.parametrize("spec, proj", [
+    (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 16.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("iid_real_gaussian", 4, 2, 16.0),
+     mc.ProjectorSpec("receive", 0.5)),
+    (mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
+     mc.ProjectorSpec("transmit", 0.5)),
+    (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0), None),
+], ids=["complex4x2", "real4x2", "transmit2x4", "unprojected4x2"])
+def test_two_antenna_trial_stats_call_no_linalg(monkeypatch, spec, proj):
+    # 4100 trials span three chunks, the last of 4 trials.
+    calls = []
+
+    def spy(name, function):
+        def spying(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return spying
+
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if not isinstance(function, type):  # LinAlgError
+            monkeypatch.setattr(np.linalg, name, spy(name, function))
+    for gammas in ([1e3], [1.0, 1e3, 1e8]):
+        s = mc.trial_stats(spec, proj, gammas, 4100, 2)
+        assert np.all(np.isfinite(s.mi_ref)) and np.all(np.isfinite(s.mr_ref))
+    assert calls == []
 
 
 def _qr_logdet_bits(h):
@@ -550,10 +624,20 @@ def _three_trial_chunks(monkeypatch, spec):
 
 
 def _stacked_reference(spec, proj, gammas, trials, seed):
-    """Every statistic of the stack of one-trial draws, in one chunk."""
+    """Every statistic of the stack of one-trial draws, in one chunk.  A
+    projection with two antennas on its smaller side (the real draw's
+    transmit cut to 8 x 2) takes the closed form, and its reference then
+    has its own Gram."""
     h = np.stack([mc.sample_matrix(spec, seed, t) for t in range(trials)])
     hp = mc.apply_projector(h, proj)
     gam = np.asarray(gammas, dtype=float)
+    if min(hp.shape[1:]) == 2:
+        closed = mc._two_antenna_stats(hp, gam, mc.STATS)
+        return {"mi_ref": mc._mutual_info(mc._gram_smaller_side(h),
+                                          h.shape[-1], gam),
+                "mi_proj": closed["mi"],
+                "mr_ref": mc._multiplexing_rate(h, gam),
+                "mr_proj": closed["mr"]}
     gram, proj_gram = mc._paired_grams(h, proj)
     return {"mi_ref": mc._mutual_info(gram, h.shape[-1], gam),
             "mi_proj": mc._mutual_info(proj_gram, hp.shape[-1], gam),
@@ -599,7 +683,8 @@ def test_helper_thread_only_fills_normals(monkeypatch, spec, proj):
         monkeypatch.setattr(owner, name, spying)
 
     for name in ("_sample_chunk", "_interleave", "_paired_grams",
-                 "_gram_smaller_side", "_mutual_info", "_multiplexing_rate"):
+                 "_gram_smaller_side", "_mutual_info", "_multiplexing_rate",
+                 "_two_antenna_stats"):
         spy(mc, name)
     spy(np.linalg, "qr")
     spy(np, "matmul")
@@ -609,8 +694,11 @@ def test_helper_thread_only_fills_normals(monkeypatch, spec, proj):
     assert drawers[0] is not threading.main_thread()
     assert {thread for _, thread in calls} == {threading.main_thread()}
     names = {name for name, _ in calls}
-    assert {"_sample_chunk", "_paired_grams", "_mutual_info",
-            "_multiplexing_rate"} <= names
+    # The real draw's transmit cut to 8 x 2 takes the closed form, and its
+    # 8 x 4 reference its own Gram.
+    two_antenna = spec.kind == "iid_real_gaussian"
+    assert {"_sample_chunk", "_mutual_info", "_multiplexing_rate",
+            "_two_antenna_stats" if two_antenna else "_paired_grams"} <= names
     assert ("_interleave" in names) == (spec.kind != "iid_real_gaussian")
     if spec.kind == "haar_unitary":
         assert "qr" in names

@@ -1,6 +1,8 @@
-"""Property tests for config validation and CLI flag parsing.
+"""Property tests: config validation, CLI flag parsing and the
+closed-form statistics of two-antenna draws.
 
-Neither test runs an experiment: each stops at ``validate()``.
+The validation and flag tests run no experiment: each stops at
+``validate()``.
 """
 
 import contextlib
@@ -13,8 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from freemimo import cli
+from freemimo import montecarlo as mc
 from freemimo.experiments import EXPERIMENTS, PARAMS, ExperimentConfig
+from freemimo.infotheory import _gram_smaller_side
 
 ANY_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -100,3 +106,79 @@ def test_flag_text_is_valid_or_names_its_field(case, text):
     experiment, flag, field = case
     for message in _messages([experiment, f"{flag}={text}"]):
         assert re.search(rf"\b{field}\b", message), message
+
+
+# Draws 0 and 1 of a stack are random, draw 2 has a rank-one pair of
+# vectors, v = s u rounded, and draws 3 and 4 are exactly singular: a zero
+# vector, and two equal vectors.
+RANDOM = np.array([True, True, False, False, False])
+SINGULAR = np.array([False, False, False, True, True])
+
+
+@st.composite
+def two_antenna_stacks(draw):
+    """(5, r, t) stacks with min(r, t) = 2, real or complex, scaled by one
+    factor in 1e-150..1e150.  The two vectors of a draw are H's columns,
+    or its rows when H is wide."""
+    rows, cols = draw(st.sampled_from([(4, 2), (3, 2), (2, 2), (2, 4)]))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.standard_normal((len(SINGULAR), rows, cols))
+    if not real:
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    stack *= 10.0 ** draw(st.floats(-150.0, 150.0))
+    vectors = stack if rows >= cols else stack.swapaxes(1, 2)
+    scale = draw(st.floats(-1e3, 1e3).filter(lambda x: x != 0.0))
+    if not real:
+        scale *= 1j ** draw(st.integers(0, 3))
+    vectors[2, :, 1] = scale * vectors[2, :, 0]
+    vectors[3, :, draw(st.integers(0, 1))] = 0.0
+    vectors[4, :, 1] = vectors[4, :, 0]
+    return stack
+
+
+GAMMA_GRIDS = st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=6,
+                       unique=True).map(
+    lambda exponents: np.array([10.0 ** e for e in sorted(exponents)]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(stack=two_antenna_stacks(), gammas=GAMMA_GRIDS)
+def test_two_antenna_stats_match_the_lapack_route(stack, gammas):
+    # The LAPACK route is the engine's path for other shapes: eigvalsh of
+    # the Gram over a grid, and the LU or QR log-det of H.  Both routes
+    # overflow to +inf where gamma lam does, and give log2 0 = -inf.
+    cols = stack.shape[-1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        closed = mc._two_antenna_stats(stack, gammas, mc.STATS)
+        lapack = {"mi": mc._mutual_info(_gram_smaller_side(stack), cols,
+                                        gammas),
+                  "mr": mc._multiplexing_rate(stack, gammas)}
+        err = {stat: np.abs(closed[stat] - lapack[stat]) for stat in mc.STATS}
+        tol = 1e-12 + np.finfo(float).eps * np.linalg.cond(stack) ** 2
+    mi, mr = closed["mi"], closed["mr"]
+    # Mutual information is >= 0 and overflows to +inf exactly where the
+    # LAPACK route does.
+    assert np.all(mi >= 0.0)
+    assert np.array_equal(np.isfinite(mi), np.isfinite(lapack["mi"]))
+    # The multiplexing rate is never NaN or +inf.  On the random draws it
+    # is finite where the LAPACK route's is.  On the exactly singular draws
+    # it is -inf, where LU and QR often leave a rounding residue that reads
+    # as a finite rate far below zero; on the rank-one pair either route
+    # may round det G to 0 or not.
+    assert not np.any(np.isnan(mr) | np.isposinf(mr))
+    assert np.all(np.isfinite(mr[:, RANDOM])
+                  == np.isfinite(lapack["mr"][:, RANDOM]))
+    assert np.all(np.isneginf(mr[:, SINGULAR]))
+    # Agreement within the LAPACK route's own rounding, eps kappa^2.
+    for stat in mc.STATS:
+        both = np.isfinite(closed[stat]) & np.isfinite(lapack[stat])
+        assert np.all((err[stat] < tol)[both])
+    # Mutual information is nondecreasing in gamma, and one gamma gives
+    # the bits of the grid's entry at that gamma.
+    assert np.all(mi[1:] >= mi[:-1])
+    for i in range(len(gammas)):
+        with np.errstate(over="ignore", divide="ignore"):
+            one = mc._two_antenna_stats(stack, gammas[i:i + 1], mc.STATS)
+        for stat in mc.STATS:
+            assert np.array_equal(one[stat][0], closed[stat][i])
