@@ -3,14 +3,16 @@
 Each criterion returns a ``CriterionResult`` whose checks carry the measured
 value, the pinned tolerance, and a pass flag.  ``run_all`` executes the whole
 suite; the ``verify`` experiment and tests/test_acceptance.py are thin
-wrappers around it.  The Monte Carlo criteria C1-C5 run experiments through
-``run_experiment`` and read their numbers from the result tables, so every
-such gate is a ``freemimo`` command a user can repeat (README, "Command
-line"), and a seed offset for it is a shift of each config's
-``master_seed``.  All Monte Carlo checks use fixed seeds, so they reproduce
-bit for bit on the same numpy/BLAS build and BLAS thread count.
+wrappers around it.  The Monte Carlo criteria C1-C5 are entries of
+``GATES``: each lists its experiment runs, ``freemimo`` commands a user can
+repeat (README, "Command line"), and each of its checks is one row that
+reads its measured value from the runs' result tables.  The analytic
+criteria C6-C9 are functions.  All Monte Carlo checks use fixed seeds, so
+they reproduce bit for bit on the same numpy/BLAS build and BLAS thread
+count.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -43,9 +45,9 @@ class CriterionResult:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def check(self, name, measured, tolerance, passed=None):
-        if passed is None:
-            passed = bool(measured <= tolerance)
+    def check(self, name, measured, tolerance, strict=False):
+        """Record a check: measured <= tolerance passes (< if strict)."""
+        passed = measured < tolerance if strict else measured <= tolerance
         self.checks.append(CheckResult(name, float(measured),
                                        float(tolerance), bool(passed)))
 
@@ -56,94 +58,94 @@ class CriterionResult:
         return "; ".join(parts)
 
 
-def _run(experiment, **params):
-    """The ResultTable of one experiment run, as ``freemimo <experiment>``
-    with these parameters writes it."""
-    return ex.run_experiment(ex.ExperimentConfig(experiment, params))
+def _largest_drop(table):
+    """The largest fall of a monotonicity table's loss_bits from one SNR to
+    the next beyond three standard errors of the two, or 0.0."""
+    m, s = table.column("loss_bits"), table.column("stderr_bits")
+    return max([0.0] + [m[i - 1] - m[i] - 3.0 * (s[i] + s[i - 1])
+                        for i in range(1, len(m))])
 
 
-def criterion_1():
-    """Figure-style 4x2 loss at 30 dB: Monte Carlo vs the closed form.
+# The Monte Carlo criteria: criterion -> (title, runs, checks).  A run is an
+# (experiment, params) pair, exactly as the README's C1-C5 command lines give
+# it.  A check is (name, measure, tolerance, strict), recorded by
+# ``CriterionResult.check``; ``measure`` takes the criterion's run tables in
+# order and returns the measured value.
+#
+# C1: entry variance 4 (sigma2 = 16 with the sigma2/R convention) keeps the
+# 30 dB run inside the asymptotic band; real-valued spectra approach the
+# high-SNR limit only like gamma^(-1/2), as their eigenvalue density diverges
+# at the origin.
+# C2: the exact discrepancies at gamma = 1e4 (Wishart means plus the shared
+# finite-SNR remainder) are 3.86e-4 at N=64 and 2.90e-4 at N=512, a gap near
+# the estimator noise, so the seed is pinned; tests/test_montecarlo.py checks
+# the convergence against the exact Wishart oracle at any seed.
+# C4: the product draws with seed 404, its two single factors with 405, 406.
+GATES = {
+    "C1": ("4x2 ergodic loss at 30 dB (complex 3.4, real 4.3)",
+           [("loss-convergence", dict(n_list=[4], phi=0.5, beta=0.5,
+                                      sigma2=16.0, gamma_db=30.0,
+                                      trials=100_000, master_seed=101)),
+            ("loss-convergence", dict(n_list=[4], phi=0.5, beta=0.5,
+                                      sigma2=16.0, gamma_db=30.0,
+                                      trials=100_000, master_seed=102,
+                                      ensemble="iid_real_gaussian"))],
+           [("complex total loss vs 3.4", lambda cplx, real: abs(
+               2.0 * cplx.column("loss_mc_bits")[0] - 3.4), 0.1, False),
+            ("real total loss vs 4.3", lambda cplx, real: abs(
+                2.0 * real.column("loss_mc_bits")[0] - 4.3), 0.15, False),
+            ("closed form reports 4.0 total", lambda *_: abs(
+                2.0 * asy.binary_entropy_loss(0.5, 0.5) - 4.0), 1e-12,
+             False)]),
+    "C2": ("loss convergence: phi=0.5 beta=0.75 gamma=1e4",
+           [("loss-convergence", dict(n_list=[64], phi=0.5, beta=0.75,
+                                      gamma_db=40.0, trials=150_000,
+                                      master_seed=203)),
+            ("loss-convergence", dict(n_list=[512], phi=0.5, beta=0.75,
+                                      gamma_db=40.0, trials=3_000,
+                                      master_seed=203))],
+           [("|loss(512) - 0.622556|", lambda t64, t512:
+             t512.column("discrepancy_bits")[0], 0.05, False),
+            ("discrepancy(512) < discrepancy(64)", lambda t64, t512:
+             t512.column("discrepancy_bits")[0]
+             - t64.column("discrepancy_bits")[0], 0.0, True)]),
+    "C3": ("deviation: iid N=512 -> 0.5, Haar N=256 -> 0",
+           [("deviation-sweep", dict(n=512, beta_list=[0.5], gamma_db=60.0,
+                                     trials=200, master_seed=303)),
+            ("deviation-sweep", dict(ensemble="haar_unitary", n=256,
+                                     beta_list=[0.5], gamma_db=60.0,
+                                     trials=50, master_seed=304))],
+           [("|dev(iid, N=512) - 0.5|", lambda iid, haar: abs(
+               iid.column("dev_mc_bits")[0] - 0.5), 0.05, False),
+            ("|dev(Haar, N=256)|", lambda iid, haar: abs(
+                haar.column("dev_mc_bits")[0]), 0.02, False)]),
+    "C4": ("product m=2 deviation: 1.0 and additivity",
+           [("product-additivity", dict(n=512, m=2, beta=0.5, gamma_db=60.0,
+                                        trials=200, master_seed=404))],
+           [("|dev(product) - 1.0|", lambda prod:
+             prod.column("discrepancy_bits")[0], 0.1, False),
+            ("|dev(product) - (dev1 + dev2)|", lambda prod: abs(
+                prod.column("dev_product_bits")[0]
+                - prod.column("dev_factor_sum_bits")[0]), 0.05, False)]),
+    "C5": ("loss monotone in SNR, bounded by closed form",
+           [("monotonicity", dict(sigma2=16.0, master_seed=505))],
+           [("largest monotonicity violation beyond 3*stderr",
+             _largest_drop, 0.0, False),
+            ("terminal loss <= closed form + 3*stderr", lambda mono:
+             mono.column("loss_bits")[-1]
+             - (asy.binary_entropy_loss(0.5, 0.5)
+                + 3.0 * mono.column("stderr_bits")[-1]), 0.0, False)]),
+}
 
-    Entry variance 4 (sigma2 = 16 with the sigma2/R convention) keeps the
-    30 dB run inside the asymptotic band; real-valued spectra approach the
-    high-SNR limit only like gamma^(-1/2) because their eigenvalue density
-    diverges at the origin.
-    """
-    res = CriterionResult("C1", "4x2 ergodic loss at 30 dB (complex 3.4, real 4.3)")
-    for name, ensemble, seed, total, tol in (
-            ("complex total loss vs 3.4", "iid_complex_gaussian", 101, 3.4, 0.1),
-            ("real total loss vs 4.3", "iid_real_gaussian", 102, 4.3, 0.15)):
-        loss = _run("loss-convergence", n_list=[4], phi=0.5, beta=0.5,
-                    sigma2=16.0, gamma_db=30.0, trials=100_000,
-                    ensemble=ensemble, master_seed=seed).column("loss_mc_bits")
-        res.check(name, abs(2.0 * loss[0] - total), tol)
-    formula_total = 2.0 * asy.binary_entropy_loss(0.5, 0.5)
-    res.check("closed form reports 4.0 total", abs(formula_total - 4.0), 1e-12)
-    return res
 
-
-def criterion_2():
-    """Receive-side loss converges to the closed form as N grows.
-
-    The N-comparison is statistically tight: at gamma = 1e4 the exact
-    finite-size discrepancies (Wishart means plus the shared finite-SNR
-    remainder) are 3.86e-4 at N=64 and 2.90e-4 at N=512, a gap of only
-    ~1e-4, comparable to the estimator noise at runtime-feasible trial
-    counts.  The seed below is pinned so the comparison reproduces
-    bit-identically; tests/test_montecarlo.py validates the same
-    convergence seed-independently against the exact Wishart oracle.
-    """
-    res = CriterionResult("C2", "loss convergence: phi=0.5 beta=0.75 gamma=1e4")
-    d64, d512 = (_run("loss-convergence", n_list=[n], phi=0.5, beta=0.75,
-                      gamma_db=40.0, trials=trials, master_seed=203
-                      ).column("discrepancy_bits")[0]
-                 for n, trials in ((64, 150_000), (512, 3_000)))
-    res.check("|loss(512) - 0.622556|", d512, 0.05)
-    res.check("discrepancy(512) < discrepancy(64)", d512 - d64, 0.0,
-              passed=d512 < d64)
-    return res
-
-
-def criterion_3():
-    """Deviation from linear growth: square iid 0.5; unitary exactly 0."""
-    res = CriterionResult("C3", "deviation: iid N=512 -> 0.5, Haar N=256 -> 0")
-    dev = _run("deviation-sweep", n=512, beta_list=[0.5], gamma_db=60.0,
-               trials=200, master_seed=303).column("dev_mc_bits")
-    res.check("|dev(iid, N=512) - 0.5|", abs(dev[0] - 0.5), 0.05)
-    dev = _run("deviation-sweep", ensemble="haar_unitary", n=256,
-               beta_list=[0.5], gamma_db=60.0, trials=50,
-               master_seed=304).column("dev_mc_bits")
-    res.check("|dev(Haar, N=256)|", abs(dev[0]), 0.02)
-    return res
-
-
-def criterion_4():
-    """Additivity of the deviation for a two-factor product channel: the
-    product draws with seed 404, its two single factors with 405 and 406."""
-    res = CriterionResult("C4", "product m=2 deviation: 1.0 and additivity")
-    table = _run("product-additivity", n=512, m=2, beta=0.5, gamma_db=60.0,
-                 trials=200, master_seed=404)
-    res.check("|dev(product) - 1.0|", table.column("discrepancy_bits")[0], 0.1)
-    res.check("|dev(product) - (dev1 + dev2)|",
-              abs(table.column("dev_product_bits")[0]
-                  - table.column("dev_factor_sum_bits")[0]), 0.05)
-    return res
-
-
-def criterion_5():
-    """Ergodic loss grows with SNR and is capped by the closed form: the
-    monotonicity experiment (4x2, beta = 0.5, 0:5:40 dB, 20,000 trials)."""
-    res = CriterionResult("C5", "loss monotone in SNR, bounded by closed form")
-    table = _run("monotonicity", sigma2=16.0, master_seed=505)
-    means, ses = table.column("loss_bits"), table.column("stderr_bits")
-    worst = max([0.0] + [means[i - 1] - means[i] - 3.0 * (ses[i] + ses[i - 1])
-                         for i in range(1, len(means))])
-    res.check("largest monotonicity violation beyond 3*stderr", worst, 0.0,
-              passed=worst <= 0.0)
-    bound = asy.binary_entropy_loss(0.5, 0.5) + 3.0 * ses[-1]
-    res.check("terminal loss <= closed form + 3*stderr",
-              means[-1] - bound, 0.0, passed=means[-1] <= bound)
+def _gate(cid):
+    """Run a gate's experiments once each and apply its checks."""
+    title, runs, checks = GATES[cid]
+    tables = [ex.run_experiment(ex.ExperimentConfig(experiment, params))
+              for experiment, params in runs]
+    res = CriterionResult(cid, title)
+    for name, measure, tolerance, strict in checks:
+        res.check(name, measure(*tables), tolerance, strict)
     return res
 
 
@@ -271,23 +273,15 @@ def criterion_9():
     return res
 
 
-CRITERIA = (
-    ("C1", criterion_1),
-    ("C2", criterion_2),
-    ("C3", criterion_3),
-    ("C4", criterion_4),
-    ("C5", criterion_5),
-    ("C6", criterion_6),
-    ("C7", criterion_7),
-    ("C8", criterion_8),
-    ("C9", criterion_9),
-)
+CRITERIA = {**{cid: functools.partial(_gate, cid) for cid in GATES},
+            "C6": criterion_6, "C7": criterion_7, "C8": criterion_8,
+            "C9": criterion_9}
 
 
 def run_all(only=None):
     """Run all (or the named) criteria, returning CriterionResults."""
     results = []
-    for cid, fn in CRITERIA:
+    for cid, fn in CRITERIA.items():
         if only is not None and cid not in only:
             continue
         start = time.monotonic()

@@ -427,7 +427,8 @@ _RUNNERS = {
 
 
 def run_experiment(config):
-    """Execute a validated config and return its ResultTable."""
+    """Execute a validated config and return its ResultTable; raise
+    FloatingPointError naming the first column with a NaN or inf."""
     errors = config.validate()
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
@@ -437,6 +438,9 @@ def run_experiment(config):
     # A runner may also return a dict of wall-clock metadata, which like
     # wall_clock_s is outside the determinism guarantee.
     columns, rows, *timings = _RUNNERS[config.experiment](p)
+    for name, *values in zip(columns, *rows):
+        if not all(isinstance(v, str) or math.isfinite(v) for v in values):
+            raise FloatingPointError(f"{name}: a value is not finite")
     meta = {"schema": CONFIG_SCHEMA, "experiment": config.experiment,
             "params": dict(config.params), "master_seed": seed,
             "code_version": __version__,

@@ -456,8 +456,8 @@ def _two_antenna_invariants(stack):
     is the product p q of p = a and q = |v - (g/a) u|^2, the residual of v
     off u, without the cancellation of a d - |g|^2 (q = d when u = 0, so
     det G = 0).  The smaller eigenvalue is (p / lam_max) q, which neither
-    overflows nor underflows where det G would.  A draw with a zero vector or two equal vectors has det G = 0
-    exactly, so log2 det G = -inf.
+    overflows nor underflows where det G would.  A draw with a zero vector
+    or two equal vectors has det G = 0 exactly, so log2 det G = -inf.
     """
     r, t = stack.shape[1:]
     u, v = ((stack[:, :, 0], stack[:, :, 1]) if r >= t

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freemimo import cli
+from freemimo import acceptance, cli
 from freemimo import montecarlo as mc
 from freemimo.errors import ConvergenceError
 from freemimo.experiments import (
@@ -277,6 +277,18 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = cli._build_parser().parse_args(shlex.split(line))
         assert not cli._config_from_args(args).validate(), line
+    # The C1-C5 block runs what the gates run, param for param.
+    (gates,) = [block for block in blocks if "# C1:" in block]
+    runs, cid = {}, None
+    for line in gates.replace("\\\n", "").splitlines():
+        if line.startswith("# C"):
+            cid = re.match(r"# (C\d):", line)[1]
+        elif line.startswith("freemimo "):
+            config = cli._config_from_args(
+                cli._build_parser().parse_args(shlex.split(line)[1:]))
+            runs.setdefault(cid, []).append((config.experiment, config.params))
+    assert runs == {cid: gate_runs for cid, (_, gate_runs, _)
+                    in acceptance.GATES.items()}
     for block in re.findall(r"```json\n(.*?)```", readme, re.S):
         raw = json.loads(block)
         assert not ExperimentConfig(raw["experiment"], raw["params"]).validate()
@@ -485,9 +497,21 @@ def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
-    from freemimo import acceptance
+def test_cli_non_finite_result_is_numeric_failure(tmp_path, capsys):
+    # gamma * lambda overflows a double: a JSON file would hold Infinity and
+    # NaN, which JSON has no numbers for.
+    out = tmp_path / "x.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["loss-curve", "--sigma2", "1e300", "--gamma-db",
+                         "300", "--trials", "3", "--format", "json",
+                         "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("numeric failure: mi_ref_bits: a "
+                                       "value is not finite\n")
+    assert not out.exists()
 
+
+def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
     def fake_run_all(only=None):
         res = acceptance.CriterionResult("C0", "stub", seconds=2.5)
         res.check("stub check", 0.5, 1.0)
@@ -513,8 +537,6 @@ def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_verify_rejects_csv(monkeypatch, tmp_path, capsys):
-    from freemimo import acceptance
-
     monkeypatch.setattr(acceptance, "run_all", lambda only=None: [])
     out = tmp_path / "r.csv"
     assert cli.main(["verify", "--format", "csv", "--out", str(out)]) == 1
