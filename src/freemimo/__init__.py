@@ -56,8 +56,6 @@ from .montecarlo import (
     empirical_spectrum,
     ergodic_deviation,
     ergodic_loss,
-    ergodic_multiplexing_rate,
-    ergodic_mutual_info,
     limiting_family,
     sample_matrix,
     trial_rng,

@@ -200,7 +200,9 @@ def main(argv=None):
         return 1
 
     try:
-        table = run_experiment(config)
+        # A non-finite result is the one numeric-failure line, not warnings.
+        with np.errstate(all="ignore"):
+            table = run_experiment(config)
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from .asymptotics import (
     deviation_from_linear,
     deviation_product_iid,
 )
-from .infotheory import harmonic_mean_measure
 from .montecarlo import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -390,14 +389,9 @@ def _run_transforms(p):
         z = alpha * i / (points + 1)
         gamma_db = -10.0 + 50.0 * (i - 1) / max(points - 1, 1)
         gamma = db_to_linear(gamma_db)
-        table_rows.append([
-            float(z),
-            psi_transform(family, -z),
-            s_transform(family, -z),
-            harmonic_mean_measure(family, z),
-            float(gamma_db),
-            eta_transform(family, gamma),
-        ])
+        psi, s = psi_transform(family, -z), s_transform(family, -z)
+        table_rows.append([float(z), psi, s, 1.0 / s,  # m_hat = 1 / S(-z)
+                           float(gamma_db), eta_transform(family, gamma)])
     return ["z", "psi_at_minus_z", "s_at_minus_z", "m_hat", "gamma_db",
             "eta"], table_rows
 

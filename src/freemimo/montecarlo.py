@@ -1,4 +1,5 @@
-"""Finite random-matrix sampling and ergodic Monte Carlo estimation.
+"""Finite random-matrix sampling and paired ergodic Monte Carlo estimation:
+every trial pairs a reference draw with its projection (``trial_stats``).
 
 Reproducibility contract.  Every sampling operation is a pure function of
 (spec, seed, trial): trial t draws from a Philox4x64 counter-based generator
@@ -86,7 +87,7 @@ class EnsembleSpec:
     variance sigma^2 / N with N = rows for a single R x T draw and N = the
     factor dimension for each square factor of a product.  Haar draws are
     exactly unitary.  ``factors`` is the number of iid factors multiplied
-    together (product_iid only).
+    together; every other kind draws one matrix and takes factors = 1.
     """
 
     kind: str
@@ -106,6 +107,9 @@ class EnsembleSpec:
             raise ValueError(f"variance must be positive, got {self.variance}")
         if self.factors < 1:
             raise ValueError(f"factors must be >= 1, got {self.factors}")
+        if self.kind != "product_iid" and self.factors != 1:
+            raise ValueError(f"{self.kind} draws one matrix: factors must "
+                             f"be 1, got {self.factors}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,7 @@ class TrialStats:
 
     ``mi_*`` is the mutual information and ``mr_*`` the multiplexing rate,
     in bits per transmit antenna of the reference draw (``*_ref``) or of
-    its projection (``*_proj``).  Statistics that were not requested, and
-    the projected ones when there is no projector, are None.
+    its projection (``*_proj``); statistics not requested are None.
     """
 
     mi_ref: np.ndarray | None = None
@@ -389,17 +392,31 @@ def _paired_grams(block, proj, scratch=None):
     return gram, proj_gram
 
 
+def _log2_one_plus(gam, lam):
+    """log2(1 + gam lam), broadcast; where only gam lam overflows, it is
+    log2 gam + log2 lam, equal to rounding, and every other entry is kept."""
+    with np.errstate(over="ignore"):
+        x = gam * lam
+    out = np.log2(1.0 + x)
+    big = np.isinf(x)
+    if big.any():
+        gam, lam = np.broadcast_arrays(gam, lam)
+        out[big] = np.log2(gam[big]) + np.log2(lam[big])
+    return out
+
+
 def _mutual_info(gram, cols, gammas, scratch=None):
     """(len(gammas), k) mutual information, in bits per transmit antenna of
     systems with ``cols`` of them, from a (k, n, n) stack of their Grams.
 
     One gamma takes a Cholesky log-det of I + gamma G, formed in an array
-    of ``scratch``; a grid, or an I + gamma G that rounds to singular at
-    extreme SNR, takes the eigenvalues of G once for every gamma.
+    of ``scratch``; a grid, or an I + gamma G whose factor fails or is not
+    finite at extreme SNR, takes the eigenvalues of G once for every gamma.
     """
     if gammas.size == 1:
-        a = np.multiply(gammas[0], gram, out=_scratch_array(
-            scratch, gram.shape, gram.dtype, "a"))
+        with np.errstate(over="ignore"):
+            a = np.multiply(gammas[0], gram, out=_scratch_array(
+                scratch, gram.shape, gram.dtype, "a"))
         a += np.eye(gram.shape[-1])
         try:
             chol = np.linalg.cholesky(a)
@@ -407,9 +424,10 @@ def _mutual_info(gram, cols, gammas, scratch=None):
             pass
         else:
             diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-            return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / cols
+            if np.isfinite(diag).all():
+                return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / cols
     w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    return np.stack([np.sum(np.log2(1.0 + g * w), axis=1) for g in gammas]
+    return np.stack([np.sum(_log2_one_plus(g, w), axis=1) for g in gammas]
                     ) / cols
 
 
@@ -491,8 +509,8 @@ def _two_antenna_stats(stack, gammas, stats):
     gam, cols = gammas[:, None], stack.shape[-1]
     values = {}
     if "mi" in stats:
-        values["mi"] = (np.log2(1.0 + gam * lam_max)
-                        + np.log2(1.0 + gam * lam_min)) / cols
+        values["mi"] = (_log2_one_plus(gam, lam_max)
+                        + _log2_one_plus(gam, lam_min)) / cols
     if "mr" in stats:
         values["mr"] = (2.0 * np.log2(gam) + logdet) / cols
     return values
@@ -503,9 +521,14 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
 
     Trial t draws ``sample_matrix(spec, master_seed, t)`` once; the same
     draw feeds the projected system (common random numbers) and every gamma
-    of the grid.  Only the statistics named in ``stats`` (a subset of
+    of the grid; ``proj`` is a ``ProjectorSpec`` (beta = 1 keeps every
+    antenna).  Only the statistics named in ``stats`` (a subset of
     ``STATS``) are computed.  Returns a ``TrialStats``.
     """
+    if not isinstance(proj, ProjectorSpec):
+        raise ValueError(f"proj: every trial pairs its draw with a projection"
+                         f"; pass a ProjectorSpec (beta = 1 keeps every "
+                         f"antenna), got {proj!r}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     unknown = sorted(set(stats) - set(STATS))
@@ -514,9 +537,8 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
     gam = np.atleast_1d(np.asarray(gammas, dtype=float))
     if not np.all((gam > 0.0) & (gam < math.inf)):
         raise DomainError(f"requires finite gamma > 0, got {gammas}")
-    sides = ("ref",) if proj is None else ("ref", "proj")
     out = {f"{stat}_{side}": np.empty((gam.size, trials))
-           for stat in stats for side in sides}
+           for stat in stats for side in ("ref", "proj")}
     chunk = max(1, CHUNK_BYTES // (16 * spec.rows * spec.cols))
     chunks = [range(lo, min(lo + chunk, trials))
               for lo in range(0, trials, chunk)]
@@ -546,9 +568,7 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
 def _chunk_stats(block, proj, gam, stats, scratch):
     """The requested statistics of a (k, r, t) stack of draws, as
     {``TrialStats`` field: (len(gam), k) array}."""
-    systems = {"ref": block}
-    if proj is not None:
-        systems["proj"] = apply_projector(block, proj)
+    systems = {"ref": block, "proj": apply_projector(block, proj)}
     values, lapack = {}, {}
     for side, stack in systems.items():
         if min(stack.shape[1:]) != 2:
@@ -582,13 +602,6 @@ def _estimate(values, master_seed):
     return ErgodicEstimate(float(mean), float(stderr), values.size, master_seed)
 
 
-def ergodic_mutual_info(spec, proj, gamma, trials, master_seed):
-    """Ergodic mutual information in bits per transmit antenna of the
-    (possibly projected) system."""
-    s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mi",))
-    return _estimate((s.mi_ref if proj is None else s.mi_proj)[0], master_seed)
-
-
 def ergodic_loss(spec, proj, gamma, trials, master_seed):
     """Paired mutual-information loss per reference transmit antenna.
 
@@ -596,20 +609,11 @@ def ergodic_loss(spec, proj, gamma, trials, master_seed):
     numbers).  Receive side: I(H) - I(P H).  Transmit side the projected term
     is weighted by the kept fraction so both are per reference antenna.
     """
-    if proj is None:
-        raise ValueError("ergodic_loss requires a projector")
     s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mi",))
     weight = 1.0
     if proj.side == "transmit":
         weight = kept_count(proj.beta, spec.cols) / spec.cols
     return _estimate(s.mi_ref[0] - weight * s.mi_proj[0], master_seed)
-
-
-def ergodic_multiplexing_rate(spec, proj, gamma, trials, master_seed):
-    """Ergodic multiplexing rate (nonzero-eigenvalue log sum) per transmit
-    antenna of the (possibly projected) system."""
-    s = trial_stats(spec, proj, [gamma], trials, master_seed, ("mr",))
-    return _estimate((s.mr_ref if proj is None else s.mr_proj)[0], master_seed)
 
 
 def ergodic_deviation(spec, beta, gamma, trials, master_seed):

@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,17 +500,34 @@ def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_non_finite_result_is_numeric_failure(tmp_path, capsys):
-    # gamma * lambda overflows a double: a JSON file would hold Infinity and
-    # NaN, which JSON has no numbers for.
+    # At sigma^2 = 1e308 the Gram of H overflows a double whatever gamma is:
+    # a JSON file would hold Infinity and NaN, which JSON has no numbers
+    # for.  The one line on stderr is the failure, with no numpy warnings.
     out = tmp_path / "x.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["loss-curve", "--sigma2", "1e300", "--gamma-db",
-                         "300", "--trials", "3", "--format", "json",
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["loss-curve", "--sigma2", "1e308", "--gamma-db",
+                         "0", "--trials", "3", "--format", "json",
                          "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == ("numeric failure: mi_ref_bits: a "
                                        "value is not finite\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["loss-curve", "--sigma2", "1e300", "--gamma-db", "300"],
+    ["loss-convergence", "--n", "8", "--sigma2", "1e300", "--gamma-db", "300"],
+], ids=["loss-curve", "loss-convergence"])
+def test_cli_overflowing_snr_times_eigenvalue_is_finite(args, tmp_path):
+    # gamma lambda passes the largest double, but the mutual information,
+    # about log2 gamma + log2 lambda per eigenvalue, is finite.
+    out = tmp_path / "x.json"
+    assert cli.main(args + ["--trials", "3", "--format", "json",
+                            "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert rows and all(math.isfinite(v) for row in rows
+                        for v in row.values())
 
 
 def test_cli_verify_exit_codes(monkeypatch, tmp_path, capsys):

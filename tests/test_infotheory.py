@@ -470,8 +470,8 @@ NAN_SITES = {
     "EnsembleSpec.variance": (ValueError, lambda: mc.EnsembleSpec(
         "iid_complex_gaussian", 4, 2, variance=NAN)),
     "trial_stats.gammas": (DomainError, lambda: mc.trial_stats(
-        mc.EnsembleSpec("iid_complex_gaussian", 4, 2), None, [1.0, NAN], 4,
-        0)),
+        mc.EnsembleSpec("iid_complex_gaussian", 4, 2),
+        mc.ProjectorSpec("receive", 0.5), [1.0, NAN], 4, 0)),
     "ergodic_loss.gamma": (DomainError, lambda: mc.ergodic_loss(
         mc.EnsembleSpec("iid_complex_gaussian", 4, 2),
         mc.ProjectorSpec("receive", 0.5), NAN, 4, 0)),
@@ -509,10 +509,6 @@ _CUT = mc.ProjectorSpec("receive", 0.5)
 GAMMA_SITES = {
     "trial_stats": lambda g: mc.trial_stats(_SPEC, _CUT, [1.0, g], 4, 0),
     "ergodic_loss": lambda g: mc.ergodic_loss(_SPEC, _CUT, g, 4, 0),
-    "ergodic_mutual_info": lambda g: mc.ergodic_mutual_info(
-        _SPEC, None, g, 4, 0),
-    "ergodic_multiplexing_rate": lambda g: mc.ergodic_multiplexing_rate(
-        _SPEC, _CUT, g, 4, 0),
     "ergodic_deviation": lambda g: mc.ergodic_deviation(
         mc.EnsembleSpec("iid_complex_gaussian", 4, 4), 0.5, g, 4, 0),
     "mutual_info_finite": lambda g: it.mutual_info_finite(np.eye(2), g),

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ def test_ensemble_validation():
         mc.EnsembleSpec("iid_real_gaussian", 4, 4, variance=0.0)
     with pytest.raises(ValueError):
         mc.EnsembleSpec("product_iid", 4, 4, factors=0)
+    # Only a product multiplies factors; another kind would ignore them.
+    for kind, rows, cols in (("iid_complex_gaussian", 4, 2),
+                             ("iid_real_gaussian", 4, 2),
+                             ("haar_unitary", 4, 4)):
+        with pytest.raises(ValueError, match="factors"):
+            mc.EnsembleSpec(kind, rows, cols, factors=3)
+        assert mc.EnsembleSpec(kind, rows, cols, factors=1).factors == 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +168,69 @@ def test_vanishing_variance_spectrum():
 # ergodic estimators
 # ---------------------------------------------------------------------------
 
+# A beta = 1 cut keeps every antenna: the reference statistics of a call
+# that takes it are those of the draw alone.
+KEEP_ALL = mc.ProjectorSpec("receive", 1.0)
+
+
+def _ergodic_mutual_info(spec, gamma, trials, seed):
+    """(mean, stderr) of the reference draw's mutual information."""
+    s = mc.trial_stats(spec, KEEP_ALL, [gamma], trials, seed, ("mi",))
+    return mc.mean_stderr(s.mi_ref[0])
+
+
 def test_ergodic_mutual_info_haar():
-    est = mc.ergodic_mutual_info(mc.EnsembleSpec("haar_unitary", 16, 16),
-                                 None, 7.0, 10, 1)
-    assert abs(est.mean - math.log2(8.0)) < 1e-12
-    assert est.stderr < 1e-12
+    mean, stderr = _ergodic_mutual_info(
+        mc.EnsembleSpec("haar_unitary", 16, 16), 7.0, 10, 1)
+    assert abs(mean - math.log2(8.0)) < 1e-12
+    assert stderr < 1e-12
 
 
 def test_ergodic_mutual_info_vanishing_variance():
-    est = mc.ergodic_mutual_info(
-        mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1e-28), None, 10.0, 5, 1)
-    assert est.mean < 1e-20
+    mean, _ = _ergodic_mutual_info(
+        mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1e-28), 10.0, 5, 1)
+    assert mean < 1e-20
 
 
 def test_ergodic_mutual_info_self_consistency():
     # same estimator at two trial counts agrees within combined error bars
     spec = mc.EnsembleSpec("iid_complex_gaussian", 2, 2, 1.0)
-    small = mc.ergodic_mutual_info(spec, None, 1e3, 3000, 12)
-    large = mc.ergodic_mutual_info(spec, None, 1e3, 30000, 13)
-    gap = abs(small.mean - large.mean)
-    assert gap < 3.0 * math.hypot(small.stderr, large.stderr)
+    small = _ergodic_mutual_info(spec, 1e3, 3000, 12)
+    large = _ergodic_mutual_info(spec, 1e3, 30000, 13)
+    gap = abs(small[0] - large[0])
+    assert gap < 3.0 * math.hypot(small[1], large[1])
+
+
+# sha256 of the little-endian bytes of mi_ref then mr_ref of
+# trial_stats(spec, KEEP_ALL, gammas, trials, 12345), at one gamma (1e3)
+# and on a grid (1, 1e3, 1e8).  They are the bytes the reference draw's
+# statistics had when trial_stats also took no projector: keeping every
+# antenna changes none of them.
+PINNED_REFERENCE_STATS = {
+    "complex4x2": (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 2.0), 300, (
+        "ad23005ede9ae0b390c5a749aa538f25c3cb5e0404b3d261a83478bbec0341c3",
+        "6f061c04be482014f1956b8ca741dd014eaf242d0745f65a5d345260e3e13faf")),
+    "complex64x32": (mc.EnsembleSpec("iid_complex_gaussian", 64, 32, 2.0),
+                     20, (
+        "46c314e1268ca3e953d40932b8a905fb9b0b5968b668ec45491db13c1ba03527",
+        "84d739ce2595f0b9d5ba47ded32e3b420465a675b7cda70e8d731bb481af4107")),
+    "haar16": (mc.EnsembleSpec("haar_unitary", 16, 16), 20, (
+        "348b2dacf3f85aa5b49482edf1eae3b29ec85afd64fe028c553b032a7b936c33",
+        "8a791a0331b16540f9c6ce0a7210267b6e56e8ebdd5da812ceacdbd9b3a3ee93")),
+    "product8x3": (mc.EnsembleSpec("product_iid", 8, 8, 2.0, factors=3), 20, (
+        "edff647b33f928af33ea1843aa8bc57f199e2ef108de39d014ff73c3837795d9",
+        "cbfa16fe535ecfc9626b83e4af0cc67bf52af981f5fa838930a4a8e47e1b86c8")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REFERENCE_STATS))
+def test_keep_all_reference_stats_are_pinned(case):
+    spec, trials, digests = PINNED_REFERENCE_STATS[case]
+    for gammas, digest in zip(([1e3], [1.0, 1e3, 1e8]), digests):
+        s = mc.trial_stats(spec, KEEP_ALL, gammas, trials, 12345)
+        data = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                        for a in (s.mi_ref, s.mr_ref))
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_ergodic_loss_beta_one_is_zero():
@@ -297,8 +348,8 @@ def test_limiting_family_map():
 
 def test_trials_floor():
     with pytest.raises(ValueError):
-        mc.ergodic_mutual_info(mc.EnsembleSpec("haar_unitary", 4, 4),
-                               None, 1.0, 1, 0)
+        mc.trial_stats(mc.EnsembleSpec("haar_unitary", 4, 4), KEEP_ALL,
+                       [1.0], 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +428,20 @@ def test_paired_grams_take_the_named_rule(rule, spec, proj):
 
 def test_trial_stats_only_computes_requested():
     spec = mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0)
-    s = mc.trial_stats(spec, None, [10.0], 4, 1, ("mr",))
-    assert s.mr_ref.shape == (1, 4)
-    assert s.mi_ref is None and s.mi_proj is None and s.mr_proj is None
+    s = mc.trial_stats(spec, KEEP_ALL, [10.0], 4, 1, ("mr",))
+    assert s.mr_ref.shape == s.mr_proj.shape == (1, 4)
+    assert s.mi_ref is None and s.mi_proj is None
     with pytest.raises(ValueError):
-        mc.trial_stats(spec, None, [10.0], 4, 1, ("capacity",))
+        mc.trial_stats(spec, KEEP_ALL, [10.0], 4, 1, ("capacity",))
     with pytest.raises(ValueError):
-        mc.trial_stats(spec, None, [10.0], 1, 1)
+        mc.trial_stats(spec, KEEP_ALL, [10.0], 1, 1)
+
+
+def test_trial_stats_requires_a_projector():
+    # Every trial pairs its draw with a projection; beta = 1 keeps all.
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0)
+    with pytest.raises(ValueError, match="proj"):
+        mc.trial_stats(spec, None, [10.0], 4, 1)
 
 
 def _assert_chunking_never_changes_a_byte(monkeypatch, spec, proj, trials,
@@ -449,6 +507,44 @@ def test_one_gamma_mutual_info_falls_back_when_cholesky_fails():
     assert abs(one[0, 0] - math.log2(8e30) / 2) < 1e-12
 
 
+def test_log2_one_plus_patches_only_overflowing_entries():
+    gam = np.array([[1.0], [1e300]])
+    lam = np.array([0.0, 1e-300, 2.0, 1e10, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mc._log2_one_plus(gam, lam)
+    with np.errstate(over="ignore"):
+        plain = np.log2(1.0 + gam * lam)
+        finite = np.isfinite(gam * lam)
+    assert got[finite].tobytes() == plain[finite].tobytes()
+    assert abs(got[1, 3] - (math.log2(1e300) + math.log2(1e10))) < 1e-12
+    assert got[0, 4] == got[1, 4] == math.inf
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 2), (8, 4)], ids=["4x2", "8x4"])
+def test_mutual_info_survives_gamma_lambda_overflow(rows, cols):
+    # sigma^2 = 1e300 puts the Gram eigenvalues near 1e300, so gamma lambda
+    # at gamma = 1e30 passes the largest double, yet log2(1 + gamma lambda)
+    # is log2 gamma + log2 lambda to rounding.  4 x 2 and its cut take the
+    # closed form.  8 x 4 and its cut take Cholesky, whose factor of
+    # I + gamma G is then not finite, and fall back to the eigenvalue route.
+    spec = mc.EnsembleSpec("iid_complex_gaussian", rows, cols, 1e300)
+    proj = mc.ProjectorSpec("receive", 0.5)
+    gamma = 1e30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = mc.trial_stats(spec, proj, [gamma], 3, 7, ("mi",))
+        grid = mc.trial_stats(spec, proj, [gamma, 1.0], 3, 7, ("mi",))
+    assert s.mi_ref.tobytes() == grid.mi_ref[:1].tobytes()
+    assert s.mi_proj.tobytes() == grid.mi_proj[:1].tobytes()
+    for t in range(3):
+        h = mc.sample_matrix(spec, 7, t)
+        for m, mi in ((h, s.mi_ref), (mc.apply_projector(h, proj), s.mi_proj)):
+            lam = np.linalg.eigvalsh(it._gram_smaller_side(m))
+            expected = np.sum(math.log2(gamma) + np.log2(lam)) / cols
+            assert abs(mi[0, t] - expected) < 1e-9
+
+
 def test_cholesky_fallback_fires_per_system(monkeypatch):
     # The reference draws have full rank, but the three kept rows of the
     # first have rank two: its first two are dependent, and their Gram is
@@ -463,7 +559,7 @@ def test_cholesky_fallback_fires_per_system(monkeypatch):
     proj = mc.ProjectorSpec("receive", 0.5)
     gamma = 1e30
     monkeypatch.setattr(mc, "_sample_chunk",
-                        lambda spec, streams, trials, spent=None:
+                        lambda spec, streams, trials, scratch=None:
                         block[:len(trials)])
     eig_calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -499,7 +595,7 @@ def test_two_antenna_rank_one_cut_at_extreme_snr(monkeypatch):
     proj = mc.ProjectorSpec("receive", 0.5)
     gamma = 1e30
     monkeypatch.setattr(mc, "_sample_chunk",
-                        lambda spec, streams, trials, spent=None:
+                        lambda spec, streams, trials, scratch=None:
                         block[:len(trials)])
     s = mc.trial_stats(spec, proj, [gamma], 2, 0)
     with pytest.raises(np.linalg.LinAlgError):
@@ -518,8 +614,7 @@ def test_two_antenna_rank_one_cut_at_extreme_snr(monkeypatch):
      mc.ProjectorSpec("receive", 0.5)),
     (mc.EnsembleSpec("iid_complex_gaussian", 2, 4, 1.0),
      mc.ProjectorSpec("transmit", 0.5)),
-    (mc.EnsembleSpec("iid_complex_gaussian", 4, 2, 1.0), None),
-], ids=["complex4x2", "real4x2", "transmit2x4", "unprojected4x2"])
+], ids=["complex4x2", "real4x2", "transmit2x4"])
 def test_two_antenna_trial_stats_call_no_linalg(monkeypatch, spec, proj):
     # 4100 trials span three chunks, the last of 4 trials.
     calls = []
@@ -555,7 +650,7 @@ def test_square_multiplexing_rate_lu_matches_qr(spec, trials):
     # Square draws take an LU log-det (slogdet); the rectangular route's QR
     # log-det of the same draw is the reference.
     n, gamma = spec.rows, 1e6
-    s = mc.trial_stats(spec, None, [gamma], trials, 17, ("mr",))
+    s = mc.trial_stats(spec, KEEP_ALL, [gamma], trials, 17, ("mr",))
     for t in range(trials):
         h = mc.sample_matrix(spec, 17, t)
         ref = (n * math.log2(gamma) + _qr_logdet_bits(h)) / n
@@ -582,7 +677,7 @@ def test_engine_draws_match_sample_matrix(monkeypatch, spec, per_chunk):
 
     monkeypatch.setattr(mc, "_sample_chunk", recording)
     monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * spec.rows * spec.cols * per_chunk)
-    mc.trial_stats(spec, None, [1.0], 10, 9, ("mr",))
+    mc.trial_stats(spec, KEEP_ALL, [1.0], 10, 9, ("mr",))
     assert [len(b) for b in blocks] == [
         min(per_chunk, 10 - lo) for lo in range(0, 10, per_chunk)]
     drawn = np.concatenate(blocks)
@@ -738,7 +833,7 @@ def test_draw_error_propagates_and_joins_the_helper(monkeypatch):
     monkeypatch.setattr(mc._TrialStreams, "fill", failing_second)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
-        mc.trial_stats(spec, None, [10.0], 10, 4)
+        mc.trial_stats(spec, KEEP_ALL, [10.0], 10, 4)
     assert len(drawers) == 1 and drawers[0] is not threading.main_thread()
     assert threading.active_count() == threads
 
@@ -749,15 +844,17 @@ def test_stats_error_joins_the_helper(monkeypatch):
     calls = []
 
     def failing_second(*args):
+        # Each chunk takes the rates of its draws and of their projection,
+        # so the third call is the second chunk's.
         calls.append(args)
-        if len(calls) == 2:
+        if len(calls) == 3:
             raise RuntimeError("statistics failed")
         return np.zeros((1, len(args[0])))
 
     monkeypatch.setattr(mc, "_multiplexing_rate", failing_second)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="statistics failed"):
-        mc.trial_stats(spec, None, [10.0], 10, 4, ("mr",))
+        mc.trial_stats(spec, KEEP_ALL, [10.0], 10, 4, ("mr",))
     assert threading.active_count() == threads
 
 
@@ -765,7 +862,7 @@ def test_one_trial_chunks_draw_on_the_calling_thread(monkeypatch):
     spec = mc.EnsembleSpec("iid_complex_gaussian", 8, 4, 1.0)
     drawers = _three_trial_chunks(monkeypatch, spec)
     monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
-    mc.trial_stats(spec, None, [10.0], 5, 4)
+    mc.trial_stats(spec, KEEP_ALL, [10.0], 5, 4)
     assert drawers == [threading.main_thread()] * 5
 
 
