@@ -8,8 +8,10 @@ Gram spectrum of an R x T channel H is the T eigenvalues of H^H H and
 
 At high SNR this splits into the multiplexing rate, the restriction of
 log2(gamma * lambda) to nonzero eigenvalues, plus a vanishing remainder.
-For an analytic family both are one integral of log2 S, the multiplexing
-rate being the gamma -> infinity limit of the mutual information.
+A finite channel H's rate is log2 det(gamma G) over its smaller-side Gram
+G instead, -inf when H is singular.  For an analytic family both are one
+integral of log2 S, the multiplexing rate being the gamma -> infinity
+limit of the mutual information.
 """
 
 import math
@@ -54,7 +56,7 @@ def mutual_info_measure(measure, gamma):
     """
     _check_gamma(gamma)
     if isinstance(measure, EmpiricalSpectrum):
-        return float(np.mean(np.log2(1.0 + gamma * measure.eigenvalues)))
+        return float(np.mean(_log2_one_plus(gamma, measure.eigenvalues)))
     return _s_rate(measure, -measure.psi(-gamma), gamma)
 
 
@@ -80,8 +82,9 @@ def decompose(measure, gamma):
     t = measure.total_dim
     if nz.size == 0:
         return InfoDecomposition(0.0, 0.0, 0.0, gamma)
-    i0 = float(np.sum(np.log2(gamma * nz)) / t)
-    delta = float(np.sum(np.log2(1.0 + 1.0 / (gamma * nz))) / t)
+    i0 = float(np.sum(_log2_one_plus(gamma, nz, plus=0.0)) / t)
+    with np.errstate(over="ignore"):
+        delta = float(np.sum(np.log2(1.0 + 1.0 / (gamma * nz))) / t)
     return InfoDecomposition(i0 + delta, i0, delta, gamma)
 
 
@@ -103,31 +106,82 @@ def _channel(h):
     return h
 
 
-def mutual_info_finite(h, gamma):
-    """(1/T) log2 det(I + gamma H^H H) through a Cholesky factorization.
+def _log2_one_plus(gam, lam, plus=1.0):
+    """log2(plus + gam lam), broadcast, for plus = 1 (or 0: log2(gam lam));
+    where only gam lam overflows, it is log2 gam + log2 lam, equal to
+    rounding, and every other entry is kept."""
+    with np.errstate(over="ignore"):
+        x = gam * lam
+    out = np.log2(plus + x)
+    big = np.isinf(x)
+    if big.any():
+        gam, lam = np.broadcast_arrays(gam, lam)
+        out[big] = np.log2(gam[big]) + np.log2(lam[big])
+    return out
 
-    Uses det(I + gamma H^H H) = det(I + gamma H H^H) to factor the smaller
-    Gram matrix; no eigendecomposition is needed.
+
+def _mutual_info(gram, cols, gammas, out=None):
+    """(len(gammas), k) mutual information, in bits per transmit antenna of
+    systems with ``cols`` of them, from a (k, n, n) stack of their Grams.
+
+    One gamma takes a Cholesky log-det of I + gamma G, formed in ``out``
+    if given; a grid, or an I + gamma G whose factor fails or is not finite
+    at extreme SNR, takes the eigenvalues of G once for every gamma.
+    """
+    if gammas.size == 1:
+        with np.errstate(over="ignore"):
+            a = np.multiply(gammas[0], gram, out=out)
+        a += np.eye(gram.shape[-1])
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+            if np.isfinite(diag).all():
+                return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / cols
+    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    return np.stack([np.sum(_log2_one_plus(g, w), axis=1) for g in gammas]
+                    ) / cols
+
+
+def _multiplexing_rate(stack, gammas):
+    """(len(gammas), k) multiplexing rate of a (k, r, t) stack of H:
+    (min(r, t) log2 gamma + log2 det G) / t, G the smaller-side Gram, so an
+    exactly singular H gives -inf.  log2 det G = 2 log2 |det H| is an LU
+    (``slogdet``) log-det of a square H, and otherwise 2 sum log2 |R_ii| of
+    a QR factorization of its tall orientation; neither squares H's
+    condition number."""
+    r, t = stack.shape[-2:]
+    if r == t:
+        logdet = 2.0 * np.linalg.slogdet(stack)[1] / _LN2
+    else:
+        tall = stack if r > t else stack.swapaxes(-1, -2)
+        upper = np.linalg.qr(tall, mode="r")
+        with np.errstate(divide="ignore"):
+            logdet = 2.0 * np.sum(np.log2(np.abs(
+                np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
+    return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
+
+
+def mutual_info_finite(h, gamma):
+    """(1/T) log2 det(I + gamma H^H H), in bits per transmit antenna: the
+    Monte Carlo engine's ``_mutual_info`` of H's smaller-side Gram, so it
+    stays finite where I + gamma G rounds to singular or gamma G overflows.
     """
     h = _channel(h)
     _check_gamma(gamma)
-    gram = _gram_smaller_side(h)
-    a = np.eye(gram.shape[0], dtype=gram.dtype) + gamma * gram
-    chol = np.linalg.cholesky(a)
-    logdet = 2.0 * float(np.sum(np.log2(np.real(np.diagonal(chol)))))
-    return logdet / h.shape[1]
+    gram = _gram_smaller_side(h)[None]
+    return float(_mutual_info(gram, h.shape[1], np.array([gamma]))[0, 0])
 
 
 def multiplexing_rate_finite(h, gamma):
-    """(1/T) sum of log2(gamma lambda) over the nonzero eigenvalues of the
-    min(R, T)-dimensional Gram; the other T - min(R, T) are exact zeros."""
+    """(1/T) log2 det(gamma G), G the min(R, T)-dimensional Gram of H: the
+    Monte Carlo engine's ``_multiplexing_rate`` of H, -inf for a singular
+    H.  ``decompose`` of an ``EmpiricalSpectrum`` splits a spectrum."""
     h = _channel(h)
     _check_gamma(gamma)
-    w = np.linalg.eigvalsh(_gram_smaller_side(h))
-    nz = w[w > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return float(np.sum(np.log2(gamma * nz)) / h.shape[1])
+    return float(_multiplexing_rate(h[None], np.array([gamma]))[0, 0])
 
 
 def multiplexing_rate_s(family, gamma):
@@ -180,12 +234,13 @@ def waterfilling_capacity(eigenvalues, gamma):
         raise DomainError("water-filling needs at least one positive eigenvalue")
 
     t = lam.size
-    inv = 1.0 / (gamma * lam[pos])
+    with np.errstate(over="ignore"):  # 1 / inf = 0 where gamma lam overflows
+        inv = 1.0 / (gamma * lam[pos])
     ranked = np.sort(inv)
     levels = (t + np.cumsum(ranked)) / np.arange(1, ranked.size + 1)
     level = levels[np.flatnonzero(levels > ranked)[-1]]
 
     allocation = np.zeros(t)
     allocation[pos] = np.maximum(0.0, level - inv)
-    capacity = float(np.sum(np.log2(1.0 + gamma * allocation * lam)) / t)
+    capacity = float(np.sum(_log2_one_plus(gamma * allocation, lam)) / t)
     return capacity, allocation

@@ -33,17 +33,16 @@ eigenvalues have a closed form (``_two_antenna_invariants``), and one
 expression in them gives the mutual information at one gamma and over a
 grid.  iid draws are sampled without BLAS too, so their two-antenna
 statistics do not depend on the BLAS thread count.  Every other system is
-factored.
-Mutual information at a single gamma is a log-det from a
-Cholesky factorization of I + gamma G (G the smaller-side Gram); over a
-grid of gammas it comes from one ``eigvalsh`` of G per draw.  One Gram
-product per draw serves the reference and its projection when both Grams
-are indexed by the kept side (e.g. a receive cut of 64 x 32 to 48 x 32):
-the reference Gram is the projected one plus the Gram of the removed
-antennas.  Other cuts give each system its own Gram.  The
-multiplexing rate is a log-det of H itself: an LU factorization
-(``slogdet``) for square H and a QR factorization of the tall orientation
-otherwise.  Neither squares H's condition number.
+factored by the kernels of ``infotheory`` that also serve
+``mutual_info_finite`` and ``multiplexing_rate_finite``: a Cholesky
+log-det of I + gamma G (G the smaller-side Gram) at one gamma, one
+``eigvalsh`` of G over a grid, and an LU or QR log-det of H itself for the
+multiplexing rate.  The engine forms each chunk's I + gamma G in an array
+of its scratch.  One Gram product per draw serves the reference and its
+projection when both Grams are indexed by the kept side (e.g. a receive
+cut of 64 x 32 to 48 x 32): the reference Gram is the projected one plus
+the Gram of the removed antennas.  Other cuts give each system its own
+Gram.
 """
 
 import contextlib
@@ -56,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .infotheory import _gram_smaller_side
+from .infotheory import (_gram_smaller_side, _log2_one_plus,
+                         _multiplexing_rate, _mutual_info)
 from .spectra import Dirac, EmpiricalSpectrum, FreeProduct, SquareIidGram
 
 ENSEMBLE_KINDS = (
@@ -392,65 +392,6 @@ def _paired_grams(block, proj, scratch=None):
     return gram, proj_gram
 
 
-def _log2_one_plus(gam, lam):
-    """log2(1 + gam lam), broadcast; where only gam lam overflows, it is
-    log2 gam + log2 lam, equal to rounding, and every other entry is kept."""
-    with np.errstate(over="ignore"):
-        x = gam * lam
-    out = np.log2(1.0 + x)
-    big = np.isinf(x)
-    if big.any():
-        gam, lam = np.broadcast_arrays(gam, lam)
-        out[big] = np.log2(gam[big]) + np.log2(lam[big])
-    return out
-
-
-def _mutual_info(gram, cols, gammas, scratch=None):
-    """(len(gammas), k) mutual information, in bits per transmit antenna of
-    systems with ``cols`` of them, from a (k, n, n) stack of their Grams.
-
-    One gamma takes a Cholesky log-det of I + gamma G, formed in an array
-    of ``scratch``; a grid, or an I + gamma G whose factor fails or is not
-    finite at extreme SNR, takes the eigenvalues of G once for every gamma.
-    """
-    if gammas.size == 1:
-        with np.errstate(over="ignore"):
-            a = np.multiply(gammas[0], gram, out=_scratch_array(
-                scratch, gram.shape, gram.dtype, "a"))
-        a += np.eye(gram.shape[-1])
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-            if np.isfinite(diag).all():
-                return 2.0 * np.sum(np.log2(diag), axis=1)[None, :] / cols
-    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    return np.stack([np.sum(_log2_one_plus(g, w), axis=1) for g in gammas]
-                    ) / cols
-
-
-def _multiplexing_rate(stack, gammas):
-    """(len(gammas), k) multiplexing rate of a (k, r, t) stack.
-
-    Every ensemble draw has full rank min(r, t) almost surely, so the rate
-    is (rank log2 gamma + log2 det G) / t with G the smaller-side Gram.
-    log2 det G = 2 log2 |det H| comes from an LU factorization (``slogdet``)
-    of a square H, and otherwise from 2 sum log2 |R_ii| of a QR
-    factorization of the tall orientation of H.
-    """
-    r, t = stack.shape[-2:]
-    if r == t:
-        logdet = 2.0 * np.linalg.slogdet(stack)[1] / math.log(2.0)
-    else:
-        tall = stack if r > t else stack.swapaxes(-1, -2)
-        upper = np.linalg.qr(tall, mode="r")
-        logdet = 2.0 * np.sum(
-            np.log2(np.abs(np.diagonal(upper, axis1=-2, axis2=-1))), axis=1)
-    return (min(r, t) * np.log2(gammas)[:, None] + logdet) / t
-
-
 def _inner(u, v):
     """(Re u^H v, Im u^H v) of each row pair of two (k, n) arrays; Im is
     None for real arrays.  The sums are of real products, which numpy's
@@ -583,8 +524,9 @@ def _chunk_stats(block, proj, gam, stats, scratch):
         grams = (_paired_grams(block, proj, scratch) if len(lapack) == 2
                  else [_gram_smaller_side(s) for s in lapack.values()])
         for (side, stack), gram in zip(lapack.items(), grams):
-            values[f"mi_{side}"] = _mutual_info(gram, stack.shape[-1], gam,
-                                                scratch)
+            values[f"mi_{side}"] = _mutual_info(
+                gram, stack.shape[-1], gam,
+                _scratch_array(scratch, gram.shape, gram.dtype, "a"))
     if "mr" in stats:
         for side, stack in lapack.items():
             values[f"mr_{side}"] = _multiplexing_rate(stack, gam)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,12 +321,35 @@ def test_unitary_invariance():
 
 def test_multiplexing_rate_finite_examples():
     assert abs(it.multiplexing_rate_finite(np.eye(2), 4.0) - 2.0) < 1e-14
-    h = np.diag([0.0, math.sqrt(2.0)])
-    assert abs(it.multiplexing_rate_finite(h, 2.0) - 1.0) < 1e-14
-    # Only exact zeros are dropped: 1e-12 is rank, though below a
-    # max * dim * 2^-40 threshold (1.8e-12).
+    # The rate of a finite H is the log-det rule: a singular H gives -inf,
+    # by LU (square) or QR (tall), with no warning.  decompose of its
+    # spectrum keeps the nonzero eigenvalues' split.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (np.diag([0.0, math.sqrt(2.0)]), np.zeros((3, 2))):
+            assert it.multiplexing_rate_finite(h, 2.0) == -math.inf
+    spectrum = sp.EmpiricalSpectrum(np.array([0.0, 2.0]))
+    assert abs(it.decompose(spectrum, 2.0).multiplexing_rate - 1.0) < 1e-14
+    # No rank threshold: 1e-12 counts, though below a max * dim * 2^-40
+    # threshold (1.8e-12).
     h = np.diag([1e-6, 1.0])
     assert it.multiplexing_rate_finite(h, 1.0) == math.log2(1e-12) / 2.0
+
+
+def test_multiplexing_rate_finite_does_not_square_kappa():
+    # H = diag(1, 1e-6, 1e-9) B / 3 with B^T B = 9 I: every entry is one
+    # exact product, so H's singular values are (1, 1e-6, 1e-9) to
+    # rounding while its Gram mixes all three.  An eigvalsh of the Gram
+    # (kappa^2 = 1e18) loses the two small ones; the LU log-det of H keeps
+    # them, and so does the QR log-det of its tall orientation.
+    b = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, -2.0], [2.0, -2.0, 1.0]])
+    h = np.array([[1.0], [1e-6], [1e-9]]) / 3.0 * b
+    exact = 2.0 * (math.log2(1e-6) + math.log2(1e-9)) / 3.0
+    sigma = np.linalg.svd(h, compute_uv=False)
+    assert abs(np.sum(np.log2(sigma ** 2)) / 3.0 - exact) < 1e-9
+    assert abs(it.multiplexing_rate_finite(h, 1.0) - exact) < 1e-9
+    tall = np.vstack([h, np.zeros((1, 3))])
+    assert abs(it.multiplexing_rate_finite(tall, 1.0) - exact) < 1e-9
 
 
 def test_multiplexing_rate_two_code_paths_agree():
@@ -538,6 +562,54 @@ def test_largest_finite_gamma_is_accepted():
     assert math.isfinite(it.mutual_info_finite(np.eye(2), 1e308))
     assert math.isfinite(it.mutual_info_measure(sp.SquareIidGram(1.0),
                                                 1e300))
+
+
+EMPIRICAL_WIDE = sp.EmpiricalSpectrum(np.array([0.0, 1.0, 1e10]))
+LOG2_1E300 = math.log2(1e300)
+# Each value where gamma lambda overflows, against its closed form: there
+# log2(1 + gamma lambda) is log2 gamma + log2 lambda to rounding.
+OVERFLOW_SITES = {
+    "mutual_info_finite.rank_one": (
+        lambda: it.mutual_info_finite(np.ones((4, 2)), 1e30),
+        math.log2(8e30) / 2.0),
+    "mutual_info_finite": (
+        lambda: it.mutual_info_finite(np.diag([1e10, 1.0]), 1e300),
+        (LOG2_1E300 + math.log2(1e20) + LOG2_1E300) / 2.0),
+    "mutual_info_measure": (
+        lambda: it.mutual_info_measure(EMPIRICAL_WIDE, 1e300),
+        (2.0 * LOG2_1E300 + math.log2(1e10)) / 3.0),
+    "waterfilling_capacity": (
+        lambda: it.waterfilling_capacity([1.0, 1e10], 1e300)[0],
+        (2.0 * LOG2_1E300 + math.log2(1e10)) / 2.0),
+    "decompose.mutual_info": (
+        lambda: it.decompose(EMPIRICAL_WIDE, 1e300).mutual_info,
+        (2.0 * LOG2_1E300 + math.log2(1e10)) / 3.0),
+    "decompose.multiplexing_rate": (
+        lambda: it.decompose(EMPIRICAL_WIDE, 1e300).multiplexing_rate,
+        (2.0 * LOG2_1E300 + math.log2(1e10)) / 3.0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVERFLOW_SITES))
+def test_gamma_lambda_overflow_stays_finite(site):
+    call, expected = OVERFLOW_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call()
+    assert abs(got - expected) < 1e-12 * expected
+
+
+def test_decompose_patches_only_overflowing_entries():
+    # Entries where gamma lambda is finite keep the bytes of log2(gamma
+    # lambda); only the overflowing one becomes log2 gamma + log2 lambda.
+    gamma, nz = 1e300, np.array([1e-300, 1.0, 3.0, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = it.decompose(sp.EmpiricalSpectrum(nz), gamma)
+        with np.errstate(over="ignore"):
+            plain = np.log2(gamma * nz)
+    plain[-1] = math.log2(gamma) + math.log2(1e10)
+    assert d.multiplexing_rate == float(np.sum(plain) / 4)
 
 
 @pytest.mark.parametrize("bad", [NAN, math.inf], ids=["nan", "inf"])

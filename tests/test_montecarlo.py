@@ -17,6 +17,14 @@ from freemimo import spectra as sp
 LN2 = math.log(2.0)
 
 
+def _svd_stats(m, gamma):
+    """(mutual information, multiplexing rate) of one matrix from its
+    singular values: an inline reference independent of the kernels."""
+    sigma2 = np.linalg.svd(m, compute_uv=False) ** 2
+    return (np.sum(np.log2(1.0 + gamma * sigma2)) / m.shape[1],
+            np.sum(np.log2(gamma * sigma2)) / m.shape[1])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -265,9 +273,9 @@ def test_ergodic_loss_transmit_side():
     trials = 64
     est = mc.ergodic_loss(spec, proj, 1e4, trials, 31)
     manual = np.mean([
-        it.mutual_info_finite(mc.sample_matrix(spec, 31, t), 1e4)
-        - 0.5 * it.mutual_info_finite(
-            mc.apply_projector(mc.sample_matrix(spec, 31, t), proj), 1e4)
+        _svd_stats(mc.sample_matrix(spec, 31, t), 1e4)[0]
+        - 0.5 * _svd_stats(
+            mc.apply_projector(mc.sample_matrix(spec, 31, t), proj), 1e4)[0]
         for t in range(trials)])
     assert est.mean > 0.0
     assert abs(est.mean - float(manual)) < 1e-12
@@ -393,11 +401,12 @@ GRAM_RULE_IDS = ["complex4x2", "real4x2", "transmit2x4", "complex64x32",
 def test_trial_stats_match_reference_path(spec, proj):
     # A system with two antennas on its smaller side (4 x 2, 2 x 2, 2 x 4)
     # takes the closed form at every gamma; any other takes the eigenvalue
-    # route over a grid and the Cholesky route at one gamma.  The references
-    # work on a Gram matrix, which squares the condition number kappa of H;
-    # their own rounding is about eps * kappa^2, so that is allowed on top
-    # of 1e-12.  The grid's ends, 1e-12 and 1e300, check that neither
-    # route loses the small-SNR slope or overflows at extreme SNR.
+    # route over a grid and the Cholesky route at one gamma.  The reference
+    # is the SVD of H.  The engine's mutual information works on a Gram
+    # matrix, which squares the condition number kappa of H; its rounding
+    # is about eps * kappa^2, so that is allowed on top of 1e-12.  The
+    # grid's ends, 1e-12 and 1e300, check that neither route loses the
+    # small-SNR slope or overflows at extreme SNR.
     trials = 60
     for gammas in ([1e-12, 1.0, 1e3, 1e8, 1e300], [1e3]):
         s = mc.trial_stats(spec, proj, gammas, trials, 5)
@@ -408,9 +417,9 @@ def test_trial_stats_match_reference_path(spec, proj):
                                s.mr_proj)):
                 tol = 1e-12 + np.finfo(float).eps * np.linalg.cond(m) ** 2
                 for i, g in enumerate(gammas):
-                    assert abs(mi[i, t] - it.mutual_info_finite(m, g)) < tol
-                    assert abs(mr[i, t]
-                               - it.multiplexing_rate_finite(m, g)) < tol
+                    mi_svd, mr_svd = _svd_stats(m, g)
+                    assert abs(mi[i, t] - mi_svd) < tol
+                    assert abs(mr[i, t] - mr_svd) < tol
 
 
 @pytest.mark.parametrize("rule, spec, proj", GRAM_RULE_CASES,
@@ -496,11 +505,13 @@ def test_product_multiplexing_rate_matches_slogdet():
 def test_one_gamma_mutual_info_falls_back_when_cholesky_fails():
     # At gamma = 1e30, I + gamma G of this rank-one Gram rounds to a
     # singular matrix: Cholesky fails, and the one-gamma route must give
-    # the grid route's value instead of raising.
+    # the grid route's value instead of raising, for one matrix too.
     stack = np.ones((1, 4, 2))
-    with pytest.raises(np.linalg.LinAlgError):
-        it.mutual_info_finite(stack[0], 1e30)
     gram = it._gram_smaller_side(stack)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(np.eye(2) + 1e30 * gram[0])
+    assert abs(it.mutual_info_finite(stack[0], 1e30)
+               - math.log2(8e30) / 2) < 1e-12
     one = mc._mutual_info(gram, 2, np.array([1e30]))
     grid = mc._mutual_info(gram, 2, np.array([1e30, 1.0]))
     assert np.array_equal(one[0], grid[0])
@@ -512,7 +523,7 @@ def test_log2_one_plus_patches_only_overflowing_entries():
     lam = np.array([0.0, 1e-300, 2.0, 1e10, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = mc._log2_one_plus(gam, lam)
+        got = it._log2_one_plus(gam, lam)
     with np.errstate(over="ignore"):
         plain = np.log2(1.0 + gam * lam)
         finite = np.isfinite(gam * lam)
@@ -572,10 +583,10 @@ def test_cholesky_fallback_fires_per_system(monkeypatch):
     s = mc.trial_stats(spec, proj, [gamma], 2, 0, ("mi",))
     assert eig_calls == [(2, 3, 3)]
     with pytest.raises(np.linalg.LinAlgError):
-        it.mutual_info_finite(block[0, :3], gamma)
+        np.linalg.cholesky(np.eye(3) + gamma * it._gram_smaller_side(
+            block[0, :3]))
     for t in range(2):
-        assert abs(s.mi_ref[0, t] - it.mutual_info_finite(block[t], gamma)
-                   ) < 1e-12
+        assert abs(s.mi_ref[0, t] - _svd_stats(block[t], gamma)[0]) < 1e-12
     w = np.linalg.eigvalsh(it._gram_smaller_side(block[:, :3]))
     expected = np.sum(np.log2(1.0 + gamma * np.maximum(w, 0.0)), axis=1) / 3
     assert np.array_equal(s.mi_proj[0], expected)
@@ -588,7 +599,7 @@ def test_two_antenna_rank_one_cut_at_extreme_snr(monkeypatch):
     # or full rank (the second).  At gamma = 1e30 the Cholesky route fails
     # on the rank-one kept rows; the closed form gives the singular Gram's
     # one eigenvalue, 8, and an exact zero, and the full-rank references
-    # match mutual_info_finite.
+    # match their SVD.
     block = np.array([[[2.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                       [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]])
     spec = mc.EnsembleSpec("iid_real_gaussian", 4, 2, 1.0)
@@ -599,12 +610,12 @@ def test_two_antenna_rank_one_cut_at_extreme_snr(monkeypatch):
                         block[:len(trials)])
     s = mc.trial_stats(spec, proj, [gamma], 2, 0)
     with pytest.raises(np.linalg.LinAlgError):
-        it.mutual_info_finite(block[0, :2], gamma)
+        np.linalg.cholesky(np.eye(2) + gamma * it._gram_smaller_side(
+            block[0, :2]))
     assert abs(s.mi_proj[0, 0] - math.log2(8e30) / 2) < 1e-12
     assert s.mr_proj[0, 0] == -math.inf
     for t in range(2):
-        assert abs(s.mi_ref[0, t] - it.mutual_info_finite(block[t], gamma)
-                   ) < 1e-12
+        assert abs(s.mi_ref[0, t] - _svd_stats(block[t], gamma)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("spec, proj", [
