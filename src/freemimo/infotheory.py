@@ -82,9 +82,17 @@ def decompose(measure, gamma):
     t = measure.total_dim
     if nz.size == 0:
         return InfoDecomposition(0.0, 0.0, 0.0, gamma)
-    i0 = float(np.sum(_log2_one_plus(gamma, nz, plus=0.0)) / t)
-    with np.errstate(over="ignore"):
-        delta = float(np.sum(np.log2(1.0 + 1.0 / (gamma * nz))) / t)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = gamma * nz
+        rate, rest = np.log2(x), np.log2(1.0 + 1.0 / x)
+    # Where gamma lam overflows or is below the smallest normal double,
+    # log2(gamma lam) is log2 gamma + log2 lam; below it, delta's term
+    # log2(1 + 1/(gamma lam)) is the negative of that.
+    low = x < np.finfo(float).tiny
+    patch = low | np.isinf(x)
+    rate[patch] = np.log2(gamma) + np.log2(nz[patch])
+    rest[low] = -rate[low]
+    i0, delta = float(np.sum(rate) / t), float(np.sum(rest) / t)
     return InfoDecomposition(i0 + delta, i0, delta, gamma)
 
 
@@ -106,13 +114,12 @@ def _channel(h):
     return h
 
 
-def _log2_one_plus(gam, lam, plus=1.0):
-    """log2(plus + gam lam), broadcast, for plus = 1 (or 0: log2(gam lam));
-    where only gam lam overflows, it is log2 gam + log2 lam, equal to
-    rounding, and every other entry is kept."""
+def _log2_one_plus(gam, lam):
+    """log2(1 + gam lam), broadcast; where only gam lam overflows, it is
+    log2 gam + log2 lam, equal to rounding, and every other entry is kept."""
     with np.errstate(over="ignore"):
         x = gam * lam
-    out = np.log2(plus + x)
+    out = np.log2(1.0 + x)
     big = np.isinf(x)
     if big.any():
         gam, lam = np.broadcast_arrays(gam, lam)
@@ -242,5 +249,11 @@ def waterfilling_capacity(eigenvalues, gamma):
 
     allocation = np.zeros(t)
     allocation[pos] = np.maximum(0.0, level - inv)
-    capacity = float(np.sum(_log2_one_plus(gamma * allocation, lam)) / t)
-    return capacity, allocation
+    with np.errstate(over="ignore"):
+        power = gamma * allocation
+    rates = _log2_one_plus(power, lam)
+    # gamma q is formed first, as it always was; where it overflows, the
+    # rate is log2 gamma + log2 q + log2 lam.
+    big = np.isinf(power)
+    rates[big] = np.log2(gamma) + np.log2(allocation[big]) + np.log2(lam[big])
+    return float(np.sum(rates) / t), allocation

@@ -7,9 +7,9 @@ transforms are one method call each:
 
 * ``SpectralFamily`` -- a parametric limiting spectral law described by its
   analytic S-transform.  Concrete variants cover the unit-scale square iid
-  Gram law, Dirac masses, Bernoulli projector spectra, the law obtained by
-  removing a fraction of rows (``ProjectorScaled``), and free multiplicative
-  products.
+  Gram law, Dirac masses, Bernoulli projector spectra and free
+  multiplicative products, of which the law obtained by removing a
+  fraction of rows (``ProjectorScaled``) is one with a Bernoulli projector.
 * ``EmpiricalSpectrum`` -- a ``SpectralFamily`` subclass holding the
   eigenvalues of a finite Gram matrix X^H X, including its zero atoms.
   Zeros are exact: an r x t draw has t - min(r, t) structural zero
@@ -307,36 +307,6 @@ class SquareIidGram(SpectralFamily):
 
 
 @dataclass(frozen=True)
-class ProjectorScaled(SpectralFamily):
-    """Law of the Gram matrix after keeping a beta-fraction of rows.
-
-    Removing rows is free multiplication by a Bernoulli projector spectrum:
-    alpha drops to min(alpha_inner, beta) and S picks up the projector factor
-    (z + 1)/(z + beta).  The nonzero part of this law (``restricted()``) has
-    S-transform S_inner(beta z), the column-removal scaling rule.
-    """
-
-    inner: SpectralFamily
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-
-    @cached_property
-    def alpha(self):
-        return min(self.inner.alpha, self.beta)
-
-    def s_transform(self, z):
-        self._check_s_domain(z)
-        return self.inner.s_transform(z) * (z + 1.0) / (z + self.beta)
-
-    def log_s_integral(self, x):
-        return (self.inner.log_s_integral(x) + _int_log(1.0, x)
-                - _int_log(self.beta, x))
-
-
-@dataclass(frozen=True)
 class FreeProduct(SpectralFamily):
     """Free multiplicative product: S-transforms multiply, ranks take the min."""
 
@@ -360,6 +330,20 @@ class FreeProduct(SpectralFamily):
 
     def log_s_integral(self, x):
         return math.fsum(f.log_s_integral(x) for f in self.factors)
+
+
+class ProjectorScaled(FreeProduct):
+    """Law of the Gram matrix after keeping a beta-fraction of rows.
+
+    Removing rows is free multiplication by a Bernoulli projector spectrum,
+    ``FreeProduct(inner, BernoulliProjector(beta))``: alpha drops to
+    min(alpha_inner, beta) and S picks up the projector factor
+    (z + 1)/(z + beta).  The nonzero part of this law (``restricted()``) has
+    S-transform S_inner(beta z), the column-removal scaling rule.
+    """
+
+    def __init__(self, inner, beta):
+        super().__init__(inner, BernoulliProjector(beta))
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,10 @@ OVERFLOW_SITES = {
     "waterfilling_capacity": (
         lambda: it.waterfilling_capacity([1.0, 1e10], 1e300)[0],
         (2.0 * LOG2_1E300 + math.log2(1e10)) / 2.0),
+    # gamma q = 3e308 overflows before the kernel sees lambda.
+    "waterfilling_capacity.gamma_q": (
+        lambda: it.waterfilling_capacity([0.0, 0.0, 1.0], 1e308)[0],
+        (math.log2(1e308) + math.log2(3.0)) / 3.0),
     "decompose.mutual_info": (
         lambda: it.decompose(EMPIRICAL_WIDE, 1e300).mutual_info,
         (2.0 * LOG2_1E300 + math.log2(1e10)) / 3.0),
@@ -610,6 +614,27 @@ def test_decompose_patches_only_overflowing_entries():
             plain = np.log2(gamma * nz)
     plain[-1] = math.log2(gamma) + math.log2(1e10)
     assert d.multiplexing_rate == float(np.sum(plain) / 4)
+
+
+def test_decompose_patches_underflowing_entries():
+    # Where gamma lambda is below the smallest normal double (1e-600 rounds
+    # to 0; 1e-310 is subnormal, and its reciprocal overflows), the rate
+    # term is log2 gamma + log2 lambda and delta's term is its negative,
+    # so I0 + delta is still the mutual information, about 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = it.decompose(sp.EmpiricalSpectrum([1e-300, 1.0]), 1e-300)
+        sub = it.decompose(sp.EmpiricalSpectrum([1.0]), 1e-310)
+    rate = (math.log2(1e-300) * 2.0 + math.log2(1e-300)) / 2.0
+    assert abs(low.multiplexing_rate - rate) < 1e-12 * -rate
+    assert abs(low.delta + rate) < 1e-12 * -rate
+    assert abs(low.mutual_info) < 1e-10
+    assert abs(sub.multiplexing_rate - math.log2(1e-310)) < 1e-12 * 1030.0
+    assert abs(sub.mutual_info) < 1e-10
+    # The normal entry keeps the bytes of log2(gamma lambda).
+    assert low.multiplexing_rate == float(
+        np.sum([math.log2(1e-300) + math.log2(1e-300),
+                np.log2(1e-300)]) / 2)
 
 
 @pytest.mark.parametrize("bad", [NAN, math.inf], ids=["nan", "inf"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freemimo import infotheory as it
 from freemimo import montecarlo as mc
 from freemimo import spectra as sp
 from freemimo.errors import ConvergenceError, DomainError
@@ -353,6 +354,39 @@ def test_projector_scaled_alpha_rule():
     assert sp.ProjectorScaled(MP, 0.3).alpha == 0.3
     assert sp.ProjectorScaled(sp.BernoulliProjector(0.2), 0.7).alpha == 0.2
     assert sp.FreeProduct(MP, sp.BernoulliProjector(0.4)).alpha == 0.4
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("inner", [
+    MP, sp.SquareIidGram(2.0), sp.FreeProduct(MP, MP),
+    sp.BernoulliProjector(0.3),
+], ids=["MP", "SquareIidGram2", "FreeProduct", "BernoulliProjector"])
+def test_projector_scaled_is_the_bernoulli_free_product(inner, beta):
+    # Row removal adds no math of its own: every value is the free
+    # product's, bit for bit.
+    got = sp.ProjectorScaled(inner, beta)
+    ref = sp.FreeProduct(inner, sp.BernoulliProjector(beta))
+    assert isinstance(got, sp.FreeProduct)
+    a = ref.alpha
+    assert got.alpha == a
+    assert got.mean == ref.mean
+    for u in (0.9, 0.5, 0.3, 1e-6):
+        assert got.s_transform(-u * a) == ref.s_transform(-u * a)
+        assert (got.restricted().s_transform(-u)
+                == ref.restricted().s_transform(-u))
+    for z in (-0.1, -3.0, -1e3):
+        assert got.psi(z) == ref.psi(z)
+        assert got.eta(-z) == ref.eta(-z)
+    for x in (0.3 * a, a):
+        assert got.log_s_integral(x) == ref.log_s_integral(x)
+    assert (it.mutual_info_measure(got, 10.0)
+            == it.mutual_info_measure(ref, 10.0))
+
+
+def test_projector_scaled_validates_beta():
+    for beta in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"beta must be in \(0, 1\]"):
+            sp.ProjectorScaled(MP, beta)
 
 
 # ---------------------------------------------------------------------------
