@@ -6,12 +6,11 @@ Gram spectrum of an R x T channel H is the T eigenvalues of H^H H and
 
     I(gamma) = mean over that spectrum of log2(1 + gamma * lambda).
 
-At high SNR this splits into the multiplexing rate, the restriction of
-log2(gamma * lambda) to nonzero eigenvalues, plus a vanishing remainder.
-A finite channel H's rate is log2 det(gamma G) over its smaller-side Gram
-G instead, -inf when H is singular.  For an analytic family both are one
-integral of log2 S, the multiplexing rate being the gamma -> infinity
-limit of the mutual information.
+At high SNR this splits into the multiplexing rate plus a vanishing
+remainder.  The rate of every measure, family or draw, is alpha times
+log2(gamma) plus the mean of log2 over the nonzero spectrum; it never forms
+gamma * lambda.  A finite channel H's rate is log2 det(gamma G) over its
+smaller-side Gram G instead, -inf when H is singular.
 """
 
 import math
@@ -61,10 +60,9 @@ def mutual_info_measure(measure, gamma):
 
 
 def _s_rate(family, x, gamma):
-    """x log2(gamma) + H(x) - integral_0^x log2 S(-z) dz, for 0 < x <= alpha:
-    the mutual information at x = -Psi(-gamma), the multiplexing rate at
-    x = alpha.  (1 - x) ln(1 - x) is 0 at x = 1, and log1p keeps H(x)
-    accurate for tiny x."""
+    """x log2(gamma) + H(x) - integral_0^x log2 S(-z) dz at
+    x = -Psi(-gamma): a family's mutual information.  (1 - x) ln(1 - x) is
+    0 at x = 1, and log1p keeps H(x) accurate for tiny x."""
     tail = (1.0 - x) * math.log1p(-x) if x < 1.0 else 0.0
     return (x * (math.log(gamma) - math.log(x)) - tail
             - family.log_s_integral(x)) / _LN2
@@ -72,28 +70,23 @@ def _s_rate(family, x, gamma):
 
 def decompose(measure, gamma):
     """Split mutual information into I0 + delta, where I0 is the
-    multiplexing rate and delta = I - I0 vanishes as gamma grows."""
-    _check_gamma(gamma)
+    multiplexing rate and delta vanishes as gamma grows: I - I0 for a
+    family; for a draw, log2(1 + 1/(gamma lambda)) summed over its nonzero
+    eigenvalues, per antenna, which I - I0 would lose to cancellation."""
+    mi = mutual_info_measure(measure, gamma)
+    i0 = multiplexing_rate_s(measure, gamma)
     if not isinstance(measure, EmpiricalSpectrum):
-        i0 = multiplexing_rate_s(measure, gamma)
-        mi = mutual_info_measure(measure, gamma)
         return InfoDecomposition(mi, i0, mi - i0, gamma)
     nz = measure.nonzero
-    t = measure.total_dim
-    if nz.size == 0:
-        return InfoDecomposition(0.0, 0.0, 0.0, gamma)
     with np.errstate(over="ignore", divide="ignore"):
         x = gamma * nz
-        rate, rest = np.log2(x), np.log2(1.0 + 1.0 / x)
-    # Where gamma lam overflows or is below the smallest normal double,
-    # log2(gamma lam) is log2 gamma + log2 lam; below it, delta's term
-    # log2(1 + 1/(gamma lam)) is the negative of that.
+        rest = np.log2(1.0 + 1.0 / x)
+    # Below the smallest normal double, 1/(gamma lam) is inf or overflows,
+    # and log2(1 + 1/(gamma lam)) is -(log2 gamma + log2 lam).
     low = x < np.finfo(float).tiny
-    patch = low | np.isinf(x)
-    rate[patch] = np.log2(gamma) + np.log2(nz[patch])
-    rest[low] = -rate[low]
-    i0, delta = float(np.sum(rate) / t), float(np.sum(rest) / t)
-    return InfoDecomposition(i0 + delta, i0, delta, gamma)
+    rest[low] = -(np.log2(gamma) + np.log2(nz[low]))
+    return InfoDecomposition(mi, i0, float(np.sum(rest) / measure.total_dim),
+                             gamma)
 
 
 def _gram_smaller_side(h):
@@ -185,19 +178,20 @@ def mutual_info_finite(h, gamma):
 def multiplexing_rate_finite(h, gamma):
     """(1/T) log2 det(gamma G), G the min(R, T)-dimensional Gram of H: the
     Monte Carlo engine's ``_multiplexing_rate`` of H, -inf for a singular
-    H.  ``decompose`` of an ``EmpiricalSpectrum`` splits a spectrum."""
+    H.  ``multiplexing_rate_s`` takes the rate of a spectrum."""
     h = _channel(h)
     _check_gamma(gamma)
     return float(_multiplexing_rate(h[None], np.array([gamma]))[0, 0])
 
 
-def multiplexing_rate_s(family, gamma):
-    """Multiplexing rate of a limiting law from its S-transform,
-    H(alpha) + alpha log2(gamma) - integral_0^alpha log2 S(-z) dz: the
-    gamma -> infinity limit of ``mutual_info_measure``, Psi(-gamma) -> -alpha.
-    """
+def multiplexing_rate_s(measure, gamma):
+    """Multiplexing rate of any measure, alpha (log2(gamma) + log_mean): the
+    gamma -> infinity limit of ``mutual_info_measure``.  gamma never
+    multiplies an eigenvalue, so nothing overflows or underflows; an
+    all-zero spectrum gives 0."""
     _check_gamma(gamma)
-    return _s_rate(family, family.alpha, gamma)
+    a = measure.alpha
+    return a * (math.log2(gamma) + measure.log_mean()) if a > 0.0 else 0.0
 
 
 def harmonic_mean_measure(family, t):

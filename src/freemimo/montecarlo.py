@@ -103,8 +103,8 @@ class EnsembleSpec:
             raise ValueError("matrix dimensions must be >= 1")
         if self.kind in ("haar_unitary", "product_iid") and self.rows != self.cols:
             raise ValueError(f"{self.kind} requires a square matrix")
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite > 0, got {self.variance}")
         if self.factors < 1:
             raise ValueError(f"factors must be >= 1, got {self.factors}")
         if self.kind != "product_iid" and self.factors != 1:
@@ -470,6 +470,8 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
         raise ValueError(f"proj: every trial pairs its draw with a projection"
                          f"; pass a ProjectorSpec (beta = 1 keeps every "
                          f"antenna), got {proj!r}")
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     unknown = sorted(set(stats) - set(STATS))

@@ -270,7 +270,7 @@ class BernoulliProjector(SpectralFamily):
     def psi(self, z):
         if z >= 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
-        return self.beta * z / (1.0 - z)
+        return max(self.beta * z / (1.0 - z), -self.beta)  # Psi >= -alpha
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,10 @@ class Restricted(SpectralFamily):
     def s_transform(self, z):
         self._check_s_domain(z)
         a = self.base.alpha
-        return (z + 1.0) / (z + 1.0 / a) * self.base.s_transform(a * z)
+        # S at z' = w / a, w = a z kept inside (-a, 0): near -a, w + a is
+        # exact and cancels the pole of the base's S, which z + 1 would not.
+        w = max(a * z, math.nextafter(-a, 0.0))
+        return (w + a) / (w + 1.0) * self.base.s_transform(w)
 
     def log_s_integral(self, x):
         a = self.base.alpha

@@ -141,11 +141,17 @@ def test_free_product_mutual_info_past_jensen_start(gamma):
 @pytest.mark.parametrize("family", [
     sp.ProjectorScaled(MP, 0.5),
     sp.ProjectorScaled(MP, 0.5).restricted(),
-], ids=["ProjectorScaled", "Restricted"])
+    sp.ProjectorScaled(MP, 0.0546875).restricted(),
+    sp.FreeProduct(sp.Dirac(1.0), sp.BernoulliProjector(0.75).restricted()),
+    sp.BernoulliProjector(0.43),
+], ids=["ProjectorScaled", "Restricted", "Restricted-inexact-alpha",
+        "FreeProduct-Restricted", "BernoulliProjector"])
 def test_family_mutual_info_past_last_double_of_psi(family):
     # Past gamma of about 1.8e16, alpha + Psi(-gamma) is below one ulp of
     # alpha: Psi settles on the double of (-alpha, 0) nearest -alpha, and
     # the mutual information, stationary in Psi, is the multiplexing rate.
+    # A Restricted law whose alpha times y rounds (0.0546875, 0.75) keeps
+    # its S accurate there, and beta z / (1 - z) may not round past -beta.
     previous = it.mutual_info_measure(family, 1e15)
     for gamma in (1e16, 1e20, 1e300):
         mi = it.mutual_info_measure(family, gamma)
@@ -282,6 +288,25 @@ def test_decompose_identity_random_spectra():
         d = it.decompose(spec, gamma)
         assert abs(d.mutual_info
                    - it.mutual_info_measure(spec, gamma)) < 1e-12
+
+
+def test_rate_of_a_draw_solves_no_psi(monkeypatch):
+    # I0 = alpha (log2 gamma + log_mean) needs no S-transform of the draw.
+    spec = mc.empirical_spectrum(
+        mc.EnsembleSpec("iid_complex_gaussian", 64, 96, 1.0), 24)
+    calls = []
+    psi = sp.EmpiricalSpectrum.psi
+
+    def counting_psi(self, z):
+        calls.append(z)
+        return psi(self, z)
+
+    monkeypatch.setattr(sp.EmpiricalSpectrum, "psi", counting_psi)
+    for gamma in (1e-3, 1.0, 1e6, 1e300):
+        it.multiplexing_rate_s(spec, gamma)
+        it.decompose(spec, gamma)
+    assert spec.alpha == 64 / 96
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,10 @@ def test_ensemble_validation():
         mc.EnsembleSpec("bogus", 4, 4)
     with pytest.raises(ValueError):
         mc.EnsembleSpec("iid_real_gaussian", 4, 4, variance=0.0)
+    # An infinite or NaN scale would make every statistic NaN.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="variance"):
+            mc.EnsembleSpec("iid_complex_gaussian", 4, 2, variance=bad)
     with pytest.raises(ValueError):
         mc.EnsembleSpec("product_iid", 4, 4, factors=0)
     # Only a product multiplies factors; another kind would ignore them.
@@ -444,6 +448,12 @@ def test_trial_stats_only_computes_requested():
         mc.trial_stats(spec, KEEP_ALL, [10.0], 4, 1, ("capacity",))
     with pytest.raises(ValueError):
         mc.trial_stats(spec, KEEP_ALL, [10.0], 1, 1)
+    # A count must be an integer: a float is named, not passed to range.
+    with pytest.raises(ValueError, match="trials"):
+        mc.trial_stats(spec, KEEP_ALL, [10.0], 3.0, 1)
+    for trials in (3, np.int64(3)):
+        assert mc.trial_stats(spec, KEEP_ALL, [10.0], trials, 1,
+                              ("mr",)).mr_ref.shape == (1, 3)
 
 
 def test_trial_stats_requires_a_projector():

@@ -1,5 +1,5 @@
-"""Property tests: config validation, CLI flag parsing and the
-closed-form statistics of two-antenna draws.
+"""Property tests: config validation, CLI flag parsing, the closed-form
+statistics of two-antenna draws, and the multiplexing-rate identity.
 
 The validation and flag tests run no experiment: each stops at
 ``validate()``.
@@ -7,7 +7,9 @@ The validation and flag tests run no experiment: each stops at
 
 import contextlib
 import io
+import math
 import re
+import warnings
 
 import pytest
 
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 import numpy as np
 
 from freemimo import cli
+from freemimo import infotheory as it
 from freemimo import montecarlo as mc
+from freemimo import spectra as sp
 from freemimo.experiments import EXPERIMENTS, PARAMS, ExperimentConfig
 from freemimo.infotheory import _gram_smaller_side
 
@@ -182,3 +186,50 @@ def test_two_antenna_stats_match_the_lapack_route(stack, gammas):
             one = mc._two_antenna_stats(stack, gammas[i:i + 1], mc.STATS)
         for stat in mc.STATS:
             assert np.array_equal(one[stat][0], closed[stat][i])
+
+
+# Spectral families from a small grammar: MP(sigma^2), Dirac and Bernoulli
+# projector leaves, row removal, two-factor free products and the
+# nonzero-part restriction (a Restricted law where alpha < 1).
+SCALES = st.floats(0.1, 10.0)
+FRACTIONS = st.floats(0.05, 1.0)
+FAMILIES = st.recursive(
+    st.builds(sp.SquareIidGram, SCALES) | st.builds(sp.Dirac, SCALES)
+    | st.builds(sp.BernoulliProjector, FRACTIONS),
+    lambda inner: st.builds(sp.ProjectorScaled, inner, FRACTIONS)
+    | st.builds(sp.FreeProduct, inner, inner)
+    | inner.map(lambda family: family.restricted()),
+    max_leaves=4)
+# Draws: up to 6 positive atoms across the double range, plus zeros.
+DRAWS = st.builds(
+    lambda atoms, zeros: sp.EmpiricalSpectrum(atoms + [0.0] * zeros),
+    st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+             min_size=1, max_size=6),
+    st.integers(0, 3))
+
+
+def _per_entry_rate(draw, gamma):
+    """sum over nonzero eigenvalues of log2 gamma + log2 lambda, over T."""
+    return math.fsum(math.log2(gamma) + math.log2(lam)
+                     for lam in draw.nonzero) / draw.total_dim
+
+
+@settings(deadline=None, max_examples=150)
+@given(measure=FAMILIES | DRAWS,
+       gamma=st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u))
+def test_multiplexing_rate_is_alpha_times_log_gamma_plus_log_mean(measure,
+                                                                  gamma):
+    # I0 = alpha (log2 gamma + log_mean) for every measure: the S-integral
+    # at x = alpha for a family, the per-entry sum for a draw.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i0 = it.multiplexing_rate_s(measure, gamma)
+        d = it.decompose(measure, gamma)
+        mi = it.mutual_info_measure(measure, gamma)
+        if isinstance(measure, sp.EmpiricalSpectrum):
+            reference = _per_entry_rate(measure, gamma)
+        else:
+            reference = it._s_rate(measure, measure.alpha, gamma)
+    assert abs(i0 - reference) <= 1e-13 * max(1.0, abs(i0))
+    assert d.multiplexing_rate == i0
+    assert d.mutual_info == mi
