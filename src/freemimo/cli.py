@@ -110,21 +110,21 @@ def _shown(default):
 
 
 def _build_parser(argv=()):
-    """The command's parser.  Only the subcommands named in ``argv`` get
-    their flags, or all of them if none is named: each flag costs a help
-    formatter, and the other subcommands never parse."""
+    """The command's parser.  It holds only the subcommand that ``argv[0]``
+    names, or all of them if ``argv[0]`` names none: each subcommand costs
+    a parser and a help formatter per flag, and a call runs one.  Top-level
+    help and a misspelt command see every subcommand, so their text lists
+    every experiment."""
     parser = _Parser(prog="freemimo",
                      description="Capacity-scaling experiments for large "
                                  "MIMO systems")
     sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT",
                                 required=True)
-    named = PARAMS.keys() & set(argv) or PARAMS.keys()
-    for experiment, table in PARAMS.items():
+    named = [argv[0]] if argv and argv[0] in PARAMS else PARAMS
+    for experiment in named:
         p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
-        if experiment not in named:
-            continue
         p.add_argument("--config", help="JSON config file (flags override it)")
-        for field, param in table.items():
+        for field, param in PARAMS[experiment].items():
             p.add_argument(_flag(field, param), dest=field,
                            help=f"{param.help} (default: "
                                 f"{_shown(param.default)})")

@@ -14,8 +14,9 @@ transforms are one method call each:
   eigenvalues of a finite Gram matrix X^H X, including its zero atoms.
   Zeros are exact: an r x t draw has t - min(r, t) structural zero
   eigenvalues, which ``montecarlo.empirical_spectrum`` appends to the
-  smaller-side Gram spectrum, so no rank threshold is needed.  Psi and eta
-  are direct means over the eigenvalues, Psi^{-1} inverts Psi, and
+  smaller-side Gram spectrum, so no rank threshold is needed.  The nonzero
+  eigenvalues are found once per spectrum; Psi and eta are direct sums over
+  them (a zero atom adds 0 to Psi and 1 to eta), Psi^{-1} inverts Psi, and
   ``log_mean`` is the direct mean of log2.
 
 Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
@@ -34,7 +35,9 @@ product's L is the sum of its factors' (S-transforms multiply).
 A family's Psi inverts its closed-form Psi^{-1}, and an empirical Psi^{-1}
 inverts Psi, through one root finder: a walk seeded by Jensen's bound
 |Psi(z)| <= w/(1+w), w = -z * mean, brackets the root, and a secant step
-with a bisection guard narrows the bracket.
+with a bisection guard narrows the bracket.  Once the bracket's two
+outputs are within 4 ulps, a step that lands on either one ends the
+search, since the answer at that double is already known.
 """
 
 import math
@@ -139,7 +142,9 @@ class SpectralFamily:
 class EmpiricalSpectrum(SpectralFamily):
     """Sorted eigenvalues of a Gram matrix, zero atoms included.
 
-    Zeros are exact: every method counts rank as the eigenvalues > 0.
+    Zeros are exact: every method counts rank as the eigenvalues > 0, the
+    ``nonzero`` array, which is computed once and cached like ``mean``;
+    ``alpha``, ``psi``, ``eta`` and ``restricted`` all read it.
     """
 
     eigenvalues: np.ndarray
@@ -163,31 +168,31 @@ class EmpiricalSpectrum(SpectralFamily):
         """The Gram dimension (the column count of the underlying matrix)."""
         return self.eigenvalues.size
 
-    @property
+    @cached_property
+    def nonzero(self):
+        """The eigenvalues > 0, read-only: every method counts rank by it."""
+        nz = self.eigenvalues[self.eigenvalues > 0.0]
+        nz.flags.writeable = False
+        return nz
+
+    @cached_property
     def alpha(self):
         """Normalized rank: the fraction of eigenvalues > 0."""
-        return float(np.count_nonzero(self.eigenvalues > 0.0)
-                     / self.total_dim)
-
-    @property
-    def nonzero(self):
-        return self.eigenvalues[self.eigenvalues > 0.0]
+        return self.nonzero.size / self.total_dim
 
     @cached_property
     def mean(self):
         return float(np.mean(self.eigenvalues))
 
     def psi(self, z):
-        """Mean of z x / (1 - z x), safe for huge |z|; a zero eigenvalue
-        contributes 0 even at z = -inf."""
+        """Mean of z x / (1 - z x) = 1 / (1/(z x) - 1), summed over the
+        nonzero eigenvalues, since a zero one contributes 0.  Where z x
+        rounds to -inf or -0 the term is -1 or -0, so Psi(-inf) = -alpha."""
         if z >= 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
-        lam = self.eigenvalues
-        with np.errstate(invalid="ignore"):
-            w = -z * lam
-            vals = -w / (1.0 + w)
-        vals = np.where(np.isfinite(vals), vals, -1.0)
-        return float(np.mean(np.where(lam > 0.0, vals, 0.0)))
+        with np.errstate(over="ignore", divide="ignore"):
+            terms = 1.0 / (1.0 / (z * self.nonzero) - 1.0)
+        return float(np.sum(terms)) / self.total_dim
 
     def psi_inverse(self, y):
         self._check_s_domain(y)
@@ -199,11 +204,11 @@ class EmpiricalSpectrum(SpectralFamily):
     def eta(self, gamma):
         if not gamma > 0.0:
             raise DomainError(f"eta requires gamma > 0, got {gamma}")
-        lam = self.eigenvalues
-        with np.errstate(invalid="ignore"):
-            vals = 1.0 / (1.0 + gamma * lam)
+        nz = self.nonzero
         # A zero eigenvalue contributes 1, even at gamma = inf.
-        return float(np.mean(np.where(lam > 0.0, vals, 1.0)))
+        zeros = self.total_dim - nz.size
+        return float((zeros + np.sum(1.0 / (1.0 + gamma * nz)))
+                     / self.total_dim)
 
     def log_mean(self):
         """The direct mean of log2 over the nonzero eigenvalues."""
@@ -388,28 +393,33 @@ def _log_root(g, target, x_of, u, what):
     start at the unit-slope Newton step and double, brackets the root (or
     meets a non-finite value: ConvergenceError); Illinois false position
     narrows it to a few ulps, bisecting when the secant leaves the bracket.
+    It also stops once the ends' outputs are within 4 ulps and a step lands
+    on one of them, where g is already known.  The root is the end whose
+    residual, before Illinois halving, is smaller.
     """
     log_t = math.log(-target)
 
-    def f(u):
-        x = x_of(u)
+    def f(x):
         p = 0.0 if math.isnan(x) else -g(x)
         return math.log(p) - log_t if p > 0.0 else math.nan
 
-    a, fa = u, f(u)
+    a, xa = u, x_of(u)
+    fa = f(xa)
     step = -fa
     for _ in range(200):
         b = a + math.copysign(max(abs(step), _XTOL * max(1.0, abs(a))), step)
-        fb = f(b)
+        xb = x_of(b)
+        fb = f(xb)
         if not (math.isfinite(fa) and math.isfinite(fb)):
             raise ConvergenceError(f"cannot bracket {what}")
         if fa == 0.0 or (fb > 0.0) != (fa > 0.0):
             break
-        a, fa, step = b, fb, 2.0 * step
+        a, xa, fa, step = b, xb, fb, 2.0 * step
     else:
         raise ConvergenceError(f"cannot bracket {what}")
     if fa > 0.0:
-        a, b, fa, fb = b, a, fb, fa
+        a, b, xa, xb, fa, fb = b, a, xb, xa, fb, fa
+    ra, rb = fa, fb  # f at a and b, never halved
     side = 0  # f(a) <= 0 < f(b); Illinois halves f at a stale end
     for _ in range(200):
         if fa == 0.0 or abs(b - a) <= _XTOL * max(1.0, abs(a), abs(b)):
@@ -417,14 +427,17 @@ def _log_root(g, target, x_of, u, what):
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
             c = 0.5 * (a + b)
-        fc = f(c)
+        xc = x_of(c)
+        if xc in (xa, xb) and abs(xa - xb) <= 4.0 * math.ulp(xa):
+            break
+        fc = f(xc)
         if fc > 0.0:
-            b, fb, fa = c, fc, 0.5 * fa if side > 0 else fa
+            b, xb, fb, rb, fa = c, xc, fc, fc, 0.5 * fa if side > 0 else fa
             side = 1
         else:
-            a, fa, fb = c, fc, 0.5 * fb if side < 0 else fb
+            a, xa, fa, ra, fb = c, xc, fc, fc, 0.5 * fb if side < 0 else fb
             side = -1
-    return x_of(a if abs(fa) <= abs(fb) else b)
+    return xa if abs(ra) <= abs(rb) else xb
 
 
 def _psi_from_inverse(family, z):

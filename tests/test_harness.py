@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -455,6 +456,29 @@ def test_cli_help_same_with_one_subcommand_built(experiment, capsys):
         helps.append(capsys.readouterr().out)
     assert helps[0] == helps[1]
     assert "--out" in helps[1] if experiment else "EXPERIMENT" in helps[1]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_cli_builds_only_the_subcommand_it_runs(tmp_path, capsys):
+    assert _subcommands(cli._build_parser(
+        ["transforms", "--family", "verify"])) == ["transforms"]
+    assert _subcommands(cli._build_parser(["--help"])) == list(PARAMS)
+    assert len(PARAMS) == 7
+    # A misspelt command is no subcommand, so every experiment is built
+    # and the message lists them all, even with another's name later on.
+    out = tmp_path / "x.csv"
+    assert cli.main(["tranforms", "--family", "verify", "--out",
+                     str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'tranforms'" in err
+    for experiment in PARAMS:
+        assert f"'{experiment}'" in err
+    assert not out.exists()
 
 
 def test_cli_one_value_flags(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +151,98 @@ def test_psi_roundtrip_empirical():
     for z in (-20.0, -1.0, -0.05):
         y = sp.psi_transform(spec, z)
         assert abs(sp.psi_inverse(spec, y) - z) < 1e-9 * max(1.0, abs(z))
+
+
+def _masked_psi(lam, z):
+    """Psi of a spectrum as a mean over every eigenvalue, zero atoms masked
+    to 0 and non-finite terms to -1: the reference for the direct sum."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = -z * lam
+        vals = -w / (1.0 + w)
+    vals = np.where(np.isfinite(vals), vals, -1.0)
+    return float(np.mean(np.where(lam > 0.0, vals, 0.0)))
+
+
+WIDE_SPECTRA = [
+    [0.0, 0.0, 1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e300],
+    [1e-300, 1e300],
+    np.concatenate([np.zeros(40), np.logspace(-300, 300, 601)]),
+    np.concatenate([np.zeros(3), np.geomspace(1e-300, 1e300, 7)]),
+]
+
+
+@pytest.mark.parametrize("vals", WIDE_SPECTRA, ids=range(len(WIDE_SPECTRA)))
+def test_empirical_psi_matches_masked_mean(vals):
+    spec = sp.EmpiricalSpectrum(np.asarray(vals, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-1e-300, -1e-3, -1.0, -1e3, -1e300):
+            want = _masked_psi(spec.eigenvalues, z)
+            assert abs(spec.psi(z) - want) <= 4.0 * math.ulp(want), z
+        assert spec.psi(-math.inf) == _masked_psi(spec.eigenvalues, -math.inf)
+        assert spec.psi(-math.inf) == -spec.alpha
+
+
+def test_empirical_psi_of_all_zero_spectrum():
+    spec = sp.EmpiricalSpectrum(np.zeros(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-1e-300, -1.0, -1e300, -math.inf):
+            assert spec.psi(z) == _masked_psi(spec.eigenvalues, z) == 0.0
+
+
+def test_empirical_nonzero_is_computed_once():
+    spec = sp.EmpiricalSpectrum(np.array([0.0, 0.5, 2.0]))
+    assert spec.nonzero is spec.nonzero
+    assert spec.nonzero.tolist() == [0.5, 2.0]
+    assert not spec.nonzero.flags.writeable
+    assert spec.alpha == 2.0 / 3.0
+    assert spec.restricted().eigenvalues.tolist() == [0.5, 2.0]
+
+
+# Psi^{-1} evaluations, mutual information and Psi(-gamma) of
+# ProjectorScaled(MP, 0.5) at the root finder's former stop, which kept
+# stepping on output doubles it had already evaluated.
+HIGH_SNR_ROOTS = [
+    (1e7, 25, "0x1.6cf90b6cefac4p+3", "-0x1.fffff94a03866p-2"),
+    (1e8, 32, "0x1.a21fa93a2d877p+3", "-0x1.ffffff5433896p-2"),
+    (1e10, 46, "0x1.063672ac348afp+4", "-0x1.fffffffe48320p-2"),
+    (1e12, 36, "0x1.3b5d10bf1e013p+4", "-0x1.fffffffffb9a2p-2"),
+    (1e15, 105, "0x1.8b16fddb8ad23p+4", "-0x1.fffffffffffeep-2"),
+]
+
+
+@pytest.mark.parametrize("gamma, before, mi_hex, psi_hex", HIGH_SNR_ROOTS,
+                         ids=[f"{row[0]:g}" for row in HIGH_SNR_ROOTS])
+def test_root_stops_on_a_repeated_output(gamma, before, mi_hex, psi_hex,
+                                         monkeypatch):
+    calls = []
+    inverse = sp.FreeProduct.psi_inverse
+
+    def counted(self, y):
+        calls.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(sp.FreeProduct, "psi_inverse", counted)
+    family = sp.ProjectorScaled(MP, 0.5)
+    mi = it.mutual_info_measure(family, gamma)
+    assert len(calls) <= 15 < before
+    assert mi.hex() == mi_hex
+    psi = family.psi(-gamma)
+    want = float.fromhex(psi_hex)
+    assert abs(psi - want) <= 4.0 * math.ulp(want)
+
+
+# z where a stop on a repeated output double while the bracket is still
+# wider than 4 ulps returns an end an ulp away from the correctly rounded Psi.
+NARROW_STOPS = [(0.6, -107.17048298967093), (0.6, -7073332279.644439),
+                (0.7, -27295447924.020016)]
+
+
+@pytest.mark.parametrize("beta, z", NARROW_STOPS)
+def test_root_stops_only_on_a_narrow_bracket(beta, z):
+    exact = float(Fraction(beta) * Fraction(z) / (1 - Fraction(z)))
+    assert sp.SpectralFamily.psi(sp.BernoulliProjector(beta), z) == exact
 
 
 def test_psi_monotone():
