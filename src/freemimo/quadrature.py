@@ -51,22 +51,22 @@ _MAX_PANELS = 2048
 
 
 def kronrod_panel(f, a, b):
-    """Single 15-point Kronrod panel on [a, b]; returns (value, error_estimate)."""
+    """Single 15-point Kronrod panel on [a, b]; returns (value, error_estimate).
+
+    The nodes are evaluated from the outermost pair inwards, the centre
+    last, and each sum is added left to right from 0.0 with plain ``+``,
+    so its rounding is that of a running total.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    gauss = 0.0
-    kronrod = 0.0
-    for i, x in enumerate(_XGK):
-        if x == 0.0:
-            fx = f(mid)
-            kronrod += _WGK[i] * fx
-            gauss += _WG[3] * fx
-            continue
-        fp = f(mid + half * x)
-        fm = f(mid - half * x)
-        kronrod += _WGK[i] * (fp + fm)
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (fp + fm)
+    s0, s1, s2, s3, s4, s5, s6 = [f(mid + half * x) + f(mid - half * x)
+                                  for x in _XGK[:7]]
+    fc = f(mid)
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    kronrod = (0.0 + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4
+               + k5 * s5 + k6 * s6 + k7 * fc)
+    gauss = 0.0 + g0 * s1 + g1 * s3 + g2 * s5 + g3 * fc
     value = kronrod * half
     delta = abs(kronrod - gauss) * abs(half)
     err = min(delta, (200.0 * delta) ** 1.5) if delta > 0.0 else 0.0

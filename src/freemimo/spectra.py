@@ -19,6 +19,13 @@ transforms are one method call each:
   them (a zero atom adds 0 to Psi and 1 to eta), Psi^{-1} inverts Psi, and
   ``log_mean`` is the direct mean of log2.
 
+Every measure implements S through ``_s``, an unchecked kernel for z
+already known to lie in (-alpha, 0).  The public entries, ``s_transform``
+and ``psi_inverse`` of ``SpectralFamily``, check the domain once and call
+it; inside the library (a free product's factors, a restricted law's base,
+``mean`` and the nodes of the ln S quadrature) kernels call kernels, so a
+nested law is checked once per public call, not once per layer.
+
 Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
 
     Psi(z)   = integral of z x / (1 - z x) dP(x),        z < 0
@@ -72,21 +79,52 @@ def _int_log(c, x):
     return x * math.log(c) - (c - x) * math.log1p(-x / c) - x
 
 
+def _s_by_public(self, z):
+    """The kernel of a subclass that overrides ``s_transform`` alone."""
+    return self.s_transform(z)
+
+
 class SpectralFamily:
     """A spectral measure on [0, inf) described by its S-transform.
 
-    Subclasses provide ``alpha`` and ``s_transform``; Psi and eta (and their
-    inverses) derive from those, Psi through the numeric inverse of the
-    closed-form Psi^{-1}, and ``log_s_integral`` by quadrature, except where
-    a closed form is overridden.
+    Subclasses provide ``alpha`` and ``_s``, the S-transform without the
+    domain check; the public ``s_transform`` and ``psi_inverse`` check
+    -alpha < z < 0 once and call it.  Psi and eta (and their inverses)
+    derive from those, Psi through the numeric inverse of the closed-form
+    Psi^{-1}, and ``log_s_integral`` by quadrature, except where a closed
+    form is overridden.  A direct subclass may override ``s_transform``
+    instead of ``_s``: its kernel is then its own ``s_transform``.  A
+    subclass of a measure that has a kernel overrides ``_s``.
     """
 
     @property
     def alpha(self):
         raise NotImplementedError
 
-    def s_transform(self, z):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "s_transform" not in vars(cls) or "_s" in vars(cls):
+            return
+        # A subclass written against the public method alone composes
+        # through it: its kernel is its own s_transform, checks and all.
+        if cls._s is SpectralFamily._s:
+            cls._s = _s_by_public
+        # Over a measure's kernel, the library's kernel calls would bypass
+        # the override, and its super().s_transform would come back to it
+        # through _s.
+        elif cls._s is not _s_by_public:
+            raise TypeError(
+                f"{cls.__name__} overrides s_transform over the kernel "
+                f"{cls._s.__qualname__}; override _s instead")
+
+    def _s(self, z):
+        """S(z) for z already known to lie in (-alpha, 0): the kernel."""
         raise NotImplementedError
+
+    def s_transform(self, z):
+        """S(z) on (-alpha, 0), where it is positive."""
+        self._check_s_domain(z)
+        return self._s(z)
 
     def _check_s_domain(self, z):
         if not -self.alpha < z < 0.0:
@@ -96,7 +134,7 @@ class SpectralFamily:
     def psi_inverse(self, y):
         """Inverse of Psi: the unique z < 0 with Psi(z) = y, for y in (-alpha, 0)."""
         self._check_s_domain(y)
-        return y * self.s_transform(y) / (y + 1.0)
+        return y * self._s(y) / (y + 1.0)
 
     def psi(self, z):
         if z >= 0.0:
@@ -116,9 +154,13 @@ class SpectralFamily:
 
     def log_s_integral(self, x):
         """L(x) = integral_0^x ln S(-z) dz in nats, for 0 < x <= alpha; ln S
-        may diverge logarithmically at z = alpha."""
+        may diverge logarithmically at z = alpha.  Every node lies inside
+        (0, x), so x is checked once and the nodes call the kernel."""
+        if not 0.0 <= x <= self.alpha:
+            raise DomainError(
+                f"ln S integral bound {x} outside [0, {self.alpha}]")
         return integrate_log_singular_upper(
-            lambda z: math.log(self.s_transform(-z)), 0.0, x)
+            lambda z: math.log(self._s(-z)), 0.0, x)
 
     def log_mean(self):
         """Mean of log2 over the nonzero spectrum, in bits: the S-transform
@@ -129,7 +171,7 @@ class SpectralFamily:
     @cached_property
     def mean(self):
         """First moment; equals 1/S(0-)."""
-        return 1.0 / self.s_transform(-1e-12 * self.alpha)
+        return 1.0 / self._s(-1e-12 * self.alpha)
 
     def restricted(self):
         """The law of nonzero spectrum mass, renormalized to a probability."""
@@ -198,8 +240,8 @@ class EmpiricalSpectrum(SpectralFamily):
         self._check_s_domain(y)
         return invert_psi(self.psi, y, self.mean)
 
-    def s_transform(self, z):
-        return (z + 1.0) / z * self.psi_inverse(z)
+    def _s(self, z):
+        return (z + 1.0) / z * invert_psi(self.psi, z, self.mean)
 
     def eta(self, gamma):
         if not gamma > 0.0:
@@ -212,7 +254,10 @@ class EmpiricalSpectrum(SpectralFamily):
 
     def log_mean(self):
         """The direct mean of log2 over the nonzero eigenvalues."""
-        return float(np.mean(np.log2(self.restricted().eigenvalues)))
+        nz = self.nonzero
+        if nz.size == 0:
+            raise DomainError("all-zero spectrum has no nonzero restriction")
+        return float(np.mean(np.log2(nz)))
 
     def restricted(self):
         """The spectrum of nonzero eigenvalues as a full-rank measure."""
@@ -238,8 +283,7 @@ class Dirac(SpectralFamily):
     def alpha(self):
         return 1.0
 
-    def s_transform(self, z):
-        self._check_s_domain(z)
+    def _s(self, z):
         return 1.0 / self.at
 
     def log_s_integral(self, x):
@@ -265,8 +309,7 @@ class BernoulliProjector(SpectralFamily):
     def alpha(self):
         return self.beta
 
-    def s_transform(self, z):
-        self._check_s_domain(z)
+    def _s(self, z):
         return (z + 1.0) / (z + self.beta)
 
     def log_s_integral(self, x):
@@ -296,8 +339,7 @@ class SquareIidGram(SpectralFamily):
     def alpha(self):
         return 1.0
 
-    def s_transform(self, z):
-        self._check_s_domain(z)
+    def _s(self, z):
         return 1.0 / (self.variance * (1.0 + z))
 
     def log_s_integral(self, x):
@@ -326,11 +368,10 @@ class FreeProduct(SpectralFamily):
     def alpha(self):
         return min(f.alpha for f in self.factors)
 
-    def s_transform(self, z):
-        self._check_s_domain(z)
+    def _s(self, z):
         out = 1.0
         for f in self.factors:
-            out *= f.s_transform(z)
+            out *= f._s(z)  # z is inside every factor's domain
         return out
 
     def log_s_integral(self, x):
@@ -369,13 +410,13 @@ class Restricted(SpectralFamily):
     def alpha(self):
         return 1.0
 
-    def s_transform(self, z):
-        self._check_s_domain(z)
+    def _s(self, z):
         a = self.base.alpha
         # S at z' = w / a, w = a z kept inside (-a, 0): near -a, w + a is
-        # exact and cancels the pole of the base's S, which z + 1 would not.
-        w = max(a * z, math.nextafter(-a, 0.0))
-        return (w + a) / (w + 1.0) * self.base.s_transform(w)
+        # exact and cancels the pole of the base's S, which z + 1 would not;
+        # near 0, a z may round to -0.0, outside the base kernel's domain.
+        w = min(max(a * z, math.nextafter(-a, 0.0)), -math.ulp(0.0))
+        return (w + a) / (w + 1.0) * self.base._s(w)
 
     def log_s_integral(self, x):
         a = self.base.alpha

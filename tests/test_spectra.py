@@ -381,6 +381,96 @@ def test_s_transform_closed_forms():
         sp.s_transform(sp.BernoulliProjector(0.5), -0.7)
 
 
+# The built-in measures, nested ones included: each implements the kernel
+# ``_s`` and takes the checks of SpectralFamily's public entries.
+CHECKED_MEASURES = [
+    sp.Dirac(2.0),
+    sp.BernoulliProjector(0.6),
+    MP,
+    sp.FreeProduct(MP, sp.Dirac(2.0)),
+    sp.ProjectorScaled(MP, 0.5),
+    sp.ProjectorScaled(MP, 0.5).restricted(),
+    sp.EmpiricalSpectrum(np.array([0.0, 1.0, 2.0, 4.0])),
+]
+
+
+@pytest.mark.parametrize("measure", CHECKED_MEASURES,
+                         ids=lambda m: type(m).__name__)
+def test_public_entries_reject_arguments_outside_the_domain(measure):
+    a = measure.alpha
+    for z in (0.0, -a, -a - 1e-3, math.nan):
+        with pytest.raises(DomainError):
+            measure.s_transform(z)
+        with pytest.raises(DomainError):
+            measure.psi_inverse(z)
+    # The quadrature route checks its bound once, not at every node.
+    for x in (-1e-3, a + 1e-3, math.nan):
+        with pytest.raises(DomainError):
+            sp.SpectralFamily.log_s_integral(measure, x)
+
+
+def test_one_domain_check_per_public_call(monkeypatch):
+    checks = []
+    check = sp.SpectralFamily._check_s_domain
+
+    def counting(self, z):
+        checks.append(z)
+        check(self, z)
+
+    monkeypatch.setattr(sp.SpectralFamily, "_check_s_domain", counting)
+    nested = sp.ProjectorScaled(sp.FreeProduct(MP, MP), 0.5).restricted()
+    assert nested.mean > 0.0 and checks == []  # mean calls the kernel
+    for entry in (nested.s_transform, nested.psi_inverse,
+                  lambda z: sp.s_transform(nested, z),
+                  lambda z: sp.psi_inverse(nested, z)):
+        checks.clear()
+        entry(-0.25)
+        assert checks == [-0.25]
+    # A Psi solve checks once per Psi^{-1} evaluation, not once per layer.
+    inverse = sp.SpectralFamily.psi_inverse
+    solves = []
+    monkeypatch.setattr(sp.SpectralFamily, "psi_inverse",
+                        lambda self, y: solves.append(y) or inverse(self, y))
+    checks.clear()
+    nested.psi(-3.0)
+    assert checks == solves and len(solves) > 1
+
+
+def test_override_of_s_transform_over_a_kernel_is_refused():
+    # The library calls a built-in's kernel, not its s_transform, so an
+    # override there would be bypassed, and its super().s_transform would
+    # come back to it through _s; the class is refused when it is made.
+    with pytest.raises(TypeError, match="override _s instead"):
+        class CountingGram(sp.SquareIidGram):
+            def s_transform(self, z):
+                return super().s_transform(z)
+
+    # Overriding the kernel is the way to wrap a built-in.
+    evals = []
+
+    class KernelCountingGram(sp.SquareIidGram):
+        def _s(self, z):
+            evals.append(z)
+            return super()._s(z)
+
+    gram = KernelCountingGram(1.0)
+    assert gram.s_transform(-0.25) == MP.s_transform(-0.25)
+    assert it.mutual_info_measure(sp.FreeProduct(gram, MP), 100.0) == \
+        it.mutual_info_measure(sp.FreeProduct(MP, MP), 100.0)
+    assert len(evals) > 1
+    # Over an s_transform-only subclass, whose kernel is its s_transform,
+    # an override and its super() call compose.
+    calls = []
+
+    class Wrapped(_CountingInverse):
+        def s_transform(self, z):
+            calls.append(z)
+            return super().s_transform(z)
+
+    wrapped = Wrapped(MP)
+    assert wrapped._s(-0.25) == MP.s_transform(-0.25) and calls == [-0.25]
+
+
 def test_bernoulli_s_exact_on_grid():
     beta = 0.35
     fam = sp.BernoulliProjector(beta)
@@ -406,6 +496,25 @@ def test_projector_scaling_rule_analytic():
         scaled = sp.ProjectorScaled(MP, beta).restricted()
         for z in (-0.8, -0.4, -0.1):
             assert abs(scaled.s_transform(z) - MP.s_transform(beta * z)) < 1e-14
+
+
+def test_restricted_s_where_the_scaled_argument_rounds_to_zero():
+    # With alpha = 0.5, alpha z rounds to -0.0 at z = -5e-324; the base's
+    # kernel still gets an argument inside (-alpha, 0).
+    assert sp.ProjectorScaled(MP, 0.5).restricted().s_transform(
+        -5e-324) == 1.0
+
+
+_DRAW = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]))
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the empirical Psi overflows 1/(z lambda) at a "
+                          "subnormal z, so Psi^{-1} cannot bracket there")
+@pytest.mark.parametrize("law", [_DRAW, sp.FreeProduct(_DRAW, MP).restricted()],
+                         ids=["EmpiricalSpectrum", "Restricted-FreeProduct"])
+def test_empirical_s_at_a_subnormal_argument(law):
+    assert 0.0 < law.s_transform(-5e-324) < math.inf
 
 
 def test_projector_scaling_rule_sampled():
@@ -559,6 +668,21 @@ def test_log_mean_empirical_equals_direct_mean():
         direct = float(np.mean(np.log2(spec.nonzero)))
         assert sp.log_mean(spec) == direct
         assert abs(_s_integral_log_mean(spec) - direct) < 1e-8
+
+
+def test_empirical_log_mean_reads_the_cached_nonzero(monkeypatch):
+    # The same double as the mean over the restricted spectrum's sorted
+    # eigenvalues, with no spectrum built to get it.
+    draw = mc.empirical_spectrum(
+        mc.EnsembleSpec("iid_complex_gaussian", 512, 1024, 1.0), 1)
+    assert draw.alpha == 0.5
+    via_restricted = float(np.mean(np.log2(
+        sp.EmpiricalSpectrum(draw.nonzero).eigenvalues)))
+    built = []
+    monkeypatch.setattr(sp.EmpiricalSpectrum, "__post_init__",
+                        lambda self: built.append(self))
+    assert sp.log_mean(draw).hex() == via_restricted.hex()
+    assert built == []
 
 
 def test_log_mean_all_zero_spectrum():
