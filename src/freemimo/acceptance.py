@@ -161,10 +161,10 @@ def criterion_6():
                 for p in np.arange(0.1, 0.95, 0.1))
     res.check("entropy integral vs H(p)", worst, 1e-8)
     fam = sp.SquareIidGram(1.0)
-    l_one = sp.SpectralFamily.log_s_integral(fam, 1.0)
+    l_one = sp.SpectralFamily._log_s_integral(fam, 1.0)
     res.check("log-mean of square iid law vs -log2(e)",
               abs(-l_one / math.log(2.0) + math.log2(math.e)), 1e-6)
-    worst = max(abs((b * l_one - sp.SpectralFamily.log_s_integral(fam, b))
+    worst = max(abs((b * l_one - sp.SpectralFamily._log_s_integral(fam, b))
                     / math.log(2.0) - asy.deviation_iid(b))
                 for b in np.arange(0.1, 0.95, 0.1))
     res.check("deviation integral vs closed form", worst, 1e-9)
@@ -241,7 +241,7 @@ def criterion_8():
     worst = 0.0
     for beta in (0.25, 0.5, 0.75):
         scaled = sp.ProjectorScaled(fam, beta)
-        log_m_hat = -sp.SpectralFamily.log_s_integral(fam, beta) / math.log(2.0)
+        log_m_hat = -sp.SpectralFamily._log_s_integral(fam, beta) / math.log(2.0)
         for gamma in (1.0, 100.0):
             harmonic = beta * math.log2(gamma) + log_m_hat
             s_route = it.multiplexing_rate_s(scaled, gamma)

@@ -60,15 +60,11 @@ def deviation_from_linear(family, beta):
     antenna: -beta * integral_0^1 log2[ S(-beta z) / S(-z) ] dz, which is
     (beta L(1) - L(beta)) / ln 2 with L the family's ``log_s_integral``.
 
-    ``family`` must be a square full-rank Gram law (alpha = 1).  Identically
-    zero at beta = 1 and for Dirac laws (orthogonal channels).
+    ``family`` must be a square Gram law of full rank: L(1) raises
+    DomainError where alpha < 1.  Zero at beta = 1 and for Dirac laws.
     """
-    if abs(family.alpha - 1.0) > 1e-12:
-        raise DomainError("deviation requires a full-rank (alpha = 1) law")
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"requires beta in (0, 1], got {beta}")
-    if beta == 1.0:
-        return 0.0
     return ((beta * family.log_s_integral(1.0) - family.log_s_integral(beta))
             / math.log(2.0))
 

@@ -60,12 +60,12 @@ def mutual_info_measure(measure, gamma):
 
 
 def _s_rate(family, x, gamma):
-    """x log2(gamma) + H(x) - integral_0^x log2 S(-z) dz at
-    x = -Psi(-gamma): a family's mutual information.  (1 - x) ln(1 - x) is
-    0 at x = 1, and log1p keeps H(x) accurate for tiny x."""
+    """x log2(gamma) + H(x) - integral_0^x log2 S(-z) dz at x = -Psi(-gamma),
+    a family's mutual information: 0 where x underflows to 0.  (1 - x)
+    ln(1 - x) is 0 at x = 1, and log1p keeps H(x) accurate for tiny x."""
     tail = (1.0 - x) * math.log1p(-x) if x < 1.0 else 0.0
     return (x * (math.log(gamma) - math.log(x)) - tail
-            - family.log_s_integral(x)) / _LN2
+            - family.log_s_integral(x)) / _LN2 if x != 0.0 else 0.0
 
 
 def decompose(measure, gamma):
@@ -196,8 +196,6 @@ def multiplexing_rate_s(measure, gamma):
 
 def harmonic_mean_measure(family, t):
     """m_hat(t) = 1 / S(-t): harmonic mean of the t-fraction row-removed law."""
-    if not 0.0 < t < family.alpha:
-        raise DomainError(f"requires t in (0, {family.alpha}), got {t}")
     return 1.0 / family.s_transform(-t)
 
 
@@ -210,7 +208,7 @@ def multiplexing_rate_harmonic(family, beta, gamma):
     _check_gamma(gamma)
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"requires beta in (0, 1], got {beta}")
-    if abs(family.alpha - 1.0) > 1e-12:
+    if family.alpha < 1.0:
         raise DomainError("harmonic-mean route requires a full-rank law")
     return beta * math.log2(gamma) - family.log_s_integral(beta) / _LN2
 

@@ -19,12 +19,13 @@ transforms are one method call each:
   them (a zero atom adds 0 to Psi and 1 to eta), Psi^{-1} inverts Psi, and
   ``log_mean`` is the direct mean of log2.
 
-Every measure implements S through ``_s``, an unchecked kernel for z
-already known to lie in (-alpha, 0).  The public entries, ``s_transform``
-and ``psi_inverse`` of ``SpectralFamily``, check the domain once and call
-it; inside the library (a free product's factors, a restricted law's base,
-``mean`` and the nodes of the ln S quadrature) kernels call kernels, so a
-nested law is checked once per public call, not once per layer.
+Each public transform is defined once, on ``SpectralFamily``: it checks
+its argument, NaN included, takes the limits Psi(-inf) = -alpha and
+eta(inf) = 1 - alpha, and calls an unchecked kernel (``_s``, ``_psi``,
+``_psi_inverse``, ``_eta``, ``_log_s_integral``), which a measure replaces
+where it has a closed form.  Inside the library kernels call kernels (a
+free product's factors, a restricted law's base, ``mean``, ``log_mean`` and
+the quadrature nodes), so a nested law is checked once per public call.
 
 Conventions.  For a measure P on [0, inf) with zero-atom mass 1 - alpha:
 
@@ -39,7 +40,7 @@ class integrates it by quadrature, and a family may supply a closed form.
 Every built-in family does, from integral_0^x ln(c - z) dz; a free
 product's L is the sum of its factors' (S-transforms multiply).
 
-A family's Psi inverts its closed-form Psi^{-1}, and an empirical Psi^{-1}
+The generic Psi inverts the closed-form Psi^{-1}, and an empirical Psi^{-1}
 inverts Psi, through one root finder: a walk seeded by Jensen's bound
 |Psi(z)| <= w/(1+w), w = -z * mean, brackets the root, and a secant step
 with a bisection guard narrows the bracket.  Once the bracket's two
@@ -87,14 +88,13 @@ def _s_by_public(self, z):
 class SpectralFamily:
     """A spectral measure on [0, inf) described by its S-transform.
 
-    Subclasses provide ``alpha`` and ``_s``, the S-transform without the
-    domain check; the public ``s_transform`` and ``psi_inverse`` check
-    -alpha < z < 0 once and call it.  Psi and eta (and their inverses)
-    derive from those, Psi through the numeric inverse of the closed-form
-    Psi^{-1}, and ``log_s_integral`` by quadrature, except where a closed
-    form is overridden.  A direct subclass may override ``s_transform``
-    instead of ``_s``: its kernel is then its own ``s_transform``.  A
-    subclass of a measure that has a kernel overrides ``_s``.
+    Each public transform checks its argument and takes its limits here,
+    then calls an unchecked kernel; kernels call kernels, so every public
+    transform but ``s_transform`` is final, and a subclass overrides the
+    kernel.  Subclasses provide ``alpha`` and ``_s``; the generic kernels
+    (``_psi`` inverts Psi^{-1}, ``_log_s_integral`` is the quadrature)
+    give way to closed forms.  A direct subclass may override
+    ``s_transform`` alone: its kernel is then that method.
     """
 
     @property
@@ -121,6 +121,21 @@ class SpectralFamily:
         """S(z) for z already known to lie in (-alpha, 0): the kernel."""
         raise NotImplementedError
 
+    def _psi(self, z):
+        return _psi_from_inverse(self, z)
+
+    def _psi_inverse(self, y):
+        return y * self._s(y) / (y + 1.0)
+
+    def _eta(self, gamma):
+        return 1.0 + self._psi(-gamma)
+
+    def _log_s_integral(self, x):
+        """Every node lies inside (0, x); ln S may diverge logarithmically
+        at z = alpha."""
+        return integrate_log_singular_upper(
+            lambda z: math.log(self._s(-z)), 0.0, x)
+
     def s_transform(self, z):
         """S(z) on (-alpha, 0), where it is positive."""
         self._check_s_domain(z)
@@ -134,39 +149,39 @@ class SpectralFamily:
     def psi_inverse(self, y):
         """Inverse of Psi: the unique z < 0 with Psi(z) = y, for y in (-alpha, 0)."""
         self._check_s_domain(y)
-        return y * self._s(y) / (y + 1.0)
+        return self._psi_inverse(y)
 
     def psi(self, z):
-        if z >= 0.0:
+        """Psi(z) for z < 0, and its limit Psi(-inf) = -alpha."""
+        if not z < 0.0:
             raise DomainError(f"Psi requires z < 0, got {z}")
-        return _psi_from_inverse(self, z)
+        return self._psi(z) if z > -math.inf else -self.alpha
 
     def eta(self, gamma):
+        """eta(gamma) for gamma > 0, and its limit eta(inf) = 1 - alpha."""
         if not gamma > 0.0:
             raise DomainError(f"eta requires gamma > 0, got {gamma}")
-        return 1.0 + self.psi(-gamma)
+        return self._eta(gamma) if gamma < math.inf else 1.0 - self.alpha
 
     def eta_inverse(self, t):
-        lo = 1.0 - self.alpha
-        if not lo < t < 1.0:
-            raise DomainError(f"eta_inverse requires t in ({lo}, 1), got {t}")
-        return -self.psi_inverse(t - 1.0)
+        """-Psi^{-1}(t - 1), the gamma with eta(gamma) = t in (1 - alpha, 1)."""
+        if not -self.alpha < t - 1.0 < 0.0:
+            raise DomainError(
+                f"eta_inverse requires t in ({1.0 - self.alpha}, 1), got {t}")
+        return -self._psi_inverse(t - 1.0)
 
     def log_s_integral(self, x):
-        """L(x) = integral_0^x ln S(-z) dz in nats, for 0 < x <= alpha; ln S
-        may diverge logarithmically at z = alpha.  Every node lies inside
-        (0, x), so x is checked once and the nodes call the kernel."""
+        """L(x) = integral_0^x ln S(-z) dz in nats, for 0 <= x <= alpha."""
         if not 0.0 <= x <= self.alpha:
             raise DomainError(
                 f"ln S integral bound {x} outside [0, {self.alpha}]")
-        return integrate_log_singular_upper(
-            lambda z: math.log(self._s(-z)), 0.0, x)
+        return self._log_s_integral(x)
 
     def log_mean(self):
         """Mean of log2 over the nonzero spectrum, in bits: the S-transform
         identity mean(log2) = -integral_0^1 log2 S(-z) dz applied to the
         restricted law, that is -L(1)/ln 2."""
-        return -self.restricted().log_s_integral(1.0) / math.log(2.0)
+        return -self.restricted()._log_s_integral(1.0) / math.log(2.0)
 
     @cached_property
     def mean(self):
@@ -186,7 +201,7 @@ class EmpiricalSpectrum(SpectralFamily):
 
     Zeros are exact: every method counts rank as the eigenvalues > 0, the
     ``nonzero`` array, which is computed once and cached like ``mean``;
-    ``alpha``, ``psi``, ``eta`` and ``restricted`` all read it.
+    ``alpha``, Psi, eta and ``restricted`` all read it.
     """
 
     eigenvalues: np.ndarray
@@ -226,28 +241,23 @@ class EmpiricalSpectrum(SpectralFamily):
     def mean(self):
         return float(np.mean(self.eigenvalues))
 
-    def psi(self, z):
+    def _psi(self, z):
         """Mean of z x / (1 - z x) = 1 / (1/(z x) - 1), summed over the
         nonzero eigenvalues, since a zero one contributes 0.  Where z x
-        rounds to -inf or -0 the term is -1 or -0, so Psi(-inf) = -alpha."""
-        if z >= 0.0:
-            raise DomainError(f"Psi requires z < 0, got {z}")
+        rounds to -inf or -0 the term is -1 or -0."""
         with np.errstate(over="ignore", divide="ignore"):
             terms = 1.0 / (1.0 / (z * self.nonzero) - 1.0)
         return float(np.sum(terms)) / self.total_dim
 
-    def psi_inverse(self, y):
-        self._check_s_domain(y)
-        return invert_psi(self.psi, y, self.mean)
+    def _psi_inverse(self, y):
+        return invert_psi(self._psi, y, self.mean)
 
     def _s(self, z):
-        return (z + 1.0) / z * invert_psi(self.psi, z, self.mean)
+        return (z + 1.0) / z * self._psi_inverse(z)
 
-    def eta(self, gamma):
-        if not gamma > 0.0:
-            raise DomainError(f"eta requires gamma > 0, got {gamma}")
+    def _eta(self, gamma):
         nz = self.nonzero
-        # A zero eigenvalue contributes 1, even at gamma = inf.
+        # A zero eigenvalue contributes 1.
         zeros = self.total_dim - nz.size
         return float((zeros + np.sum(1.0 / (1.0 + gamma * nz)))
                      / self.total_dim)
@@ -286,13 +296,12 @@ class Dirac(SpectralFamily):
     def _s(self, z):
         return 1.0 / self.at
 
-    def log_s_integral(self, x):
+    def _log_s_integral(self, x):
         return -x * math.log(self.at)
 
-    def psi(self, z):
-        if z >= 0.0:
-            raise DomainError(f"Psi requires z < 0, got {z}")
-        return z * self.at / (1.0 - z * self.at)
+    def _psi(self, z):
+        # Psi >= -alpha; where z * at overflows the ratio is inf/inf = NaN.
+        return max(-1.0, z * self.at / (1.0 - z * self.at))
 
 
 @dataclass(frozen=True)
@@ -312,12 +321,10 @@ class BernoulliProjector(SpectralFamily):
     def _s(self, z):
         return (z + 1.0) / (z + self.beta)
 
-    def log_s_integral(self, x):
+    def _log_s_integral(self, x):
         return _int_log(1.0, x) - _int_log(self.beta, x)
 
-    def psi(self, z):
-        if z >= 0.0:
-            raise DomainError(f"Psi requires z < 0, got {z}")
+    def _psi(self, z):
         return max(self.beta * z / (1.0 - z), -self.beta)  # Psi >= -alpha
 
 
@@ -342,15 +349,14 @@ class SquareIidGram(SpectralFamily):
     def _s(self, z):
         return 1.0 / (self.variance * (1.0 + z))
 
-    def log_s_integral(self, x):
+    def _log_s_integral(self, x):
         return -x * math.log(self.variance) - _int_log(1.0, x)
 
-    def psi(self, z):
-        if z >= 0.0:
-            raise DomainError(f"Psi requires z < 0, got {z}")
-        # Stable root of s z Psi^2 + (2 s z - 1) Psi + s z = 0 with s = variance.
-        sz = self.variance * z
-        return 2.0 * sz / ((1.0 - 2.0 * sz) + math.sqrt(1.0 - 4.0 * sz))
+    def _psi(self, z):
+        # Stable root of s z Psi^2 + (2 s z - 1) Psi + s z = 0, s = variance;
+        # Psi is -alpha below s z = -1e32; s z >= -1e300 keeps 4 s z finite.
+        sz = max(-1e300, self.variance * z)
+        return 2.0 * sz / (1.0 - 2.0 * sz + math.sqrt(1.0 - 4.0 * sz))
 
 
 @dataclass(frozen=True)
@@ -374,8 +380,8 @@ class FreeProduct(SpectralFamily):
             out *= f._s(z)  # z is inside every factor's domain
         return out
 
-    def log_s_integral(self, x):
-        return math.fsum(f.log_s_integral(x) for f in self.factors)
+    def _log_s_integral(self, x):
+        return math.fsum(f._log_s_integral(x) for f in self.factors)
 
 
 class ProjectorScaled(FreeProduct):
@@ -418,10 +424,10 @@ class Restricted(SpectralFamily):
         w = min(max(a * z, math.nextafter(-a, 0.0)), -math.ulp(0.0))
         return (w + a) / (w + 1.0) * self.base._s(w)
 
-    def log_s_integral(self, x):
+    def _log_s_integral(self, x):
         a = self.base.alpha
         return (_int_log(1.0, x) - _int_log(1.0 / a, x)
-                + self.base.log_s_integral(a * x) / a)
+                + self.base._log_s_integral(a * x) / a)
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,14 @@ def test_deviation_scale_invariance():
 
 
 def test_deviation_requires_full_rank():
-    with pytest.raises(DomainError):
-        asy.deviation_from_linear(sp.BernoulliProjector(0.5), 0.5)
-    with pytest.raises(DomainError):
+    # A rank-deficient law fails the bound check of L(1): any alpha < 1,
+    # however close to 1, and at beta = 1 too.
+    for family, beta in [(sp.BernoulliProjector(0.5), 0.5),
+                         (sp.ProjectorScaled(MP, 1.0 - 1e-13), 0.5),
+                         (sp.BernoulliProjector(0.5), 1.0)]:
+        with pytest.raises(DomainError, match=r"bound 1\.0 outside \[0, "):
+            asy.deviation_from_linear(family, beta)
+    with pytest.raises(DomainError, match="beta"):
         asy.deviation_from_linear(MP, 0.0)
 
 
@@ -137,7 +142,7 @@ def _quadrature_deviation(family, beta):
     """(beta L(1) - L(beta)) / ln 2 with L by the generic quadrature, which
     for a free product integrates the numeric product of S-transforms."""
     def quad_l(x):
-        return sp.SpectralFamily.log_s_integral(family, x)
+        return sp.SpectralFamily._log_s_integral(family, x)
     return (beta * quad_l(1.0) - quad_l(beta)) / math.log(2.0)
 
 

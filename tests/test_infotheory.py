@@ -307,13 +307,13 @@ def test_rate_of_a_draw_solves_no_psi(monkeypatch):
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 64, 96, 1.0), 24)
     calls = []
-    psi = sp.EmpiricalSpectrum.psi
+    psi = sp.EmpiricalSpectrum._psi
 
     def counting_psi(self, z):
         calls.append(z)
         return psi(self, z)
 
-    monkeypatch.setattr(sp.EmpiricalSpectrum, "psi", counting_psi)
+    monkeypatch.setattr(sp.EmpiricalSpectrum, "_psi", counting_psi)
     for gamma in (1e-3, 1.0, 1e6, 1e300):
         it.multiplexing_rate_s(spec, gamma)
         it.decompose(spec, gamma)
@@ -412,6 +412,20 @@ def test_multiplexing_rate_harmonic_examples():
     assert abs(it.harmonic_mean_measure(MP, 0.5) - 0.5) < 1e-14
     with pytest.raises(DomainError):
         it.multiplexing_rate_harmonic(sp.BernoulliProjector(0.5), 0.5, 1.0)
+
+
+def test_harmonic_route_requires_exact_full_rank():
+    # alpha = 1 - 1e-13 is rank deficient, however close to 1.
+    with pytest.raises(DomainError, match="full-rank"):
+        it.multiplexing_rate_harmonic(
+            sp.ProjectorScaled(MP, 1.0 - 1e-13), 0.5, 1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.6, -0.1, math.nan])
+def test_harmonic_mean_takes_the_s_transform_domain(t):
+    # t in (0, alpha) is -t in S's domain (-alpha, 0): one check, in S.
+    with pytest.raises(DomainError):
+        it.harmonic_mean_measure(sp.BernoulliProjector(0.5), t)
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
@@ -593,6 +607,26 @@ GAMMA_SITES = {
 def test_gamma_must_be_finite(site, gamma):
     with pytest.raises(DomainError, match="gamma"):
         GAMMA_SITES[site](gamma)
+
+
+@pytest.mark.parametrize("family, gamma, rate", [
+    (sp.SquareIidGram(1e300), 1e10, 1028.3550143741934),
+    (sp.Dirac(1e308), 1e10, 1056.3731341741814),
+    (sp.SquareIidGram(1.0), 5e307, 1020.7111581844187),
+], ids=["SquareIidGram", "Dirac", "SquareIidGram-4sz"])
+def test_family_mutual_info_where_z_times_scale_overflows(family, gamma, rate):
+    # -gamma sigma^2 (or -gamma at) overflows, or at 5e307 only -4 gamma
+    # sigma^2 does, where the unclamped Psi reads finite/inf = -0; Psi is
+    # its limit -1 there, and I is the multiplexing rate.
+    mi = it.mutual_info_measure(family, gamma)
+    assert mi == it.multiplexing_rate_s(family, gamma)
+    assert abs(mi - rate) <= 1e-12 * rate
+
+
+def test_family_mutual_info_where_psi_underflows():
+    # Psi(-1e-200) of a Dirac at 1e-200 underflows to -0: I, about 1.4e-400,
+    # is below the smallest double.
+    assert it.mutual_info_measure(sp.Dirac(1e-200), 1e-200) == 0.0
 
 
 def test_largest_finite_gamma_is_accepted():

@@ -242,7 +242,7 @@ NARROW_STOPS = [(0.6, -107.17048298967093), (0.6, -7073332279.644439),
 @pytest.mark.parametrize("beta, z", NARROW_STOPS)
 def test_root_stops_only_on_a_narrow_bracket(beta, z):
     exact = float(Fraction(beta) * Fraction(z) / (1 - Fraction(z)))
-    assert sp.SpectralFamily.psi(sp.BernoulliProjector(beta), z) == exact
+    assert sp.SpectralFamily._psi(sp.BernoulliProjector(beta), z) == exact
 
 
 def test_psi_monotone():
@@ -318,10 +318,10 @@ ROOT_GRID = [float(z) for z in -np.logspace(-14, 7, 43)]
 @pytest.mark.parametrize("family", ROOT_FAMILIES,
                          ids=lambda f: type(f).__name__)
 def test_generic_psi_matches_bisection(family):
-    # SpectralFamily.psi is the generic route even where a subclass has a
+    # SpectralFamily._psi is the generic route even where a subclass has a
     # closed form.
     for z in ROOT_GRID:
-        fast = sp.SpectralFamily.psi(family, z)
+        fast = sp.SpectralFamily._psi(family, z)
         assert -family.alpha < fast < 0.0
         assert abs(fast - _bisection_psi(family, z)) <= 1e-15, z
 
@@ -330,7 +330,7 @@ def test_generic_psi_matches_closed_form():
     fam = sp.SquareIidGram(2.0)
     for z in ROOT_GRID:
         exact = fam.psi(z)
-        assert abs(sp.SpectralFamily.psi(fam, z) - exact) <= 1e-13 * abs(exact)
+        assert abs(sp.SpectralFamily._psi(fam, z) - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("family", ROOT_FAMILIES,
@@ -338,7 +338,7 @@ def test_generic_psi_matches_closed_form():
 def test_psi_inverse_evaluations_per_psi(family):
     counting = _CountingInverse(family)
     for z in ROOT_GRID:
-        sp.SpectralFamily.psi(counting, z)
+        sp.SpectralFamily._psi(counting, z)
     assert counting.calls / len(ROOT_GRID) <= 20
 
 
@@ -353,7 +353,7 @@ class _BoundedInverse(sp.SpectralFamily):
 
 def test_psi_root_convergence_errors():
     with pytest.raises(ConvergenceError):
-        sp.SpectralFamily.psi(sp.FreeProduct(MP, MP), -1e-320)
+        sp.SpectralFamily._psi(sp.FreeProduct(MP, MP), -1e-320)
     with pytest.raises(ConvergenceError):
         _BoundedInverse().psi(-10.0)
     # Past t = 30 its Psi^{-1}(edge) = -1 breaks Jensen's bound, so Psi
@@ -381,8 +381,8 @@ def test_s_transform_closed_forms():
         sp.s_transform(sp.BernoulliProjector(0.5), -0.7)
 
 
-# The built-in measures, nested ones included: each implements the kernel
-# ``_s`` and takes the checks of SpectralFamily's public entries.
+# The built-in measures, nested ones included: each implements kernels
+# only and takes the checks and limits of SpectralFamily's public entries.
 CHECKED_MEASURES = [
     sp.Dirac(2.0),
     sp.BernoulliProjector(0.6),
@@ -398,15 +398,41 @@ CHECKED_MEASURES = [
                          ids=lambda m: type(m).__name__)
 def test_public_entries_reject_arguments_outside_the_domain(measure):
     a = measure.alpha
-    for z in (0.0, -a, -a - 1e-3, math.nan):
+    for z in (0.0, -a, -a - 1e-3, -math.inf, math.nan):
         with pytest.raises(DomainError):
             measure.s_transform(z)
         with pytest.raises(DomainError):
             measure.psi_inverse(z)
-    # The quadrature route checks its bound once, not at every node.
-    for x in (-1e-3, a + 1e-3, math.nan):
+    for z in (0.0, 1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            sp.SpectralFamily.log_s_integral(measure, x)
+            measure.psi(z)
+        with pytest.raises(DomainError):
+            measure.eta(-z)
+    for t in (1.0 - a, 1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            measure.eta_inverse(t)
+    # The limits at infinity are the same rule for every measure.
+    assert measure.psi(-math.inf) == -a
+    assert measure.eta(math.inf) == 1.0 - a
+    # Closed forms and the quadrature route alike check their bound once.
+    for x in (-1e-3, a + 1e-3, -math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            measure.log_s_integral(x)
+
+
+def test_generic_kernels_take_the_generic_route(monkeypatch):
+    # A reference route called on a closed-form family must not reach its
+    # closed form, or a check against it compares the closed form with
+    # itself.
+    inverses, kernels = [], []
+    psi_inverse, s = sp.SpectralFamily.psi_inverse, sp.SquareIidGram._s
+    monkeypatch.setattr(sp.SpectralFamily, "psi_inverse",
+                        lambda self, y: inverses.append(y) or psi_inverse(self, y))
+    monkeypatch.setattr(sp.SquareIidGram, "_s",
+                        lambda self, z: kernels.append(z) or s(self, z))
+    sp.SpectralFamily._psi(sp.BernoulliProjector(0.6), -2.0)
+    sp.SpectralFamily._log_s_integral(sp.SquareIidGram(), 1.0)
+    assert len(inverses) > 0 and len(kernels) > 0
 
 
 def test_one_domain_check_per_public_call(monkeypatch):
@@ -698,7 +724,7 @@ def test_log_mean_additive_under_free_product():
     assert abs(combined - sp.log_mean(f) - sp.log_mean(g)) < 1e-8
     # The closed form sums the factors' ln S integrals; the quadrature
     # route integrates the numeric product of their S-transforms.
-    via_product = -sp.SpectralFamily.log_s_integral(product, 1.0) * LOG2E
+    via_product = -sp.SpectralFamily._log_s_integral(product, 1.0) * LOG2E
     assert abs(combined - via_product) < 1e-8
 
 
@@ -731,7 +757,7 @@ def test_closed_form_log_s_integral_matches_quadrature(family):
     a = family.alpha
     for x in (1e-12, 1e-6, 0.1 * a, 0.5 * a, a * (1.0 - 1e-9), a):
         fast = family.log_s_integral(x)
-        slow = sp.SpectralFamily.log_s_integral(family, x)
+        slow = sp.SpectralFamily._log_s_integral(family, x)
         assert abs(fast - slow) <= 1e-10 * max(x, abs(slow)), x
 
 
