@@ -10,6 +10,7 @@ S-transform ratio integral, and is additive under free multiplication.
 """
 
 import math
+from numbers import Integral
 
 from .errors import DomainError
 from .spectra import FreeProduct, binary_entropy
@@ -81,10 +82,11 @@ def deviation_iid(beta):
 
 def deviation_product_iid(m, beta):
     """Deviation for a product of m independent square iid factors: the
-    single-factor deviation scales linearly in m."""
-    if not isinstance(m, int) or m < 1:
+    single-factor deviation scales linearly in m.  ``m`` is any integer
+    but a bool."""
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
         raise DomainError(f"requires integer m >= 1, got {m}")
-    return m * deviation_iid(beta)
+    return int(m) * deviation_iid(beta)
 
 
 def deviation_additivity_check(f, g, beta):

@@ -6,11 +6,10 @@ Each subcommand takes the flags of its experiment's parameter table
 values arrive as text and are parsed by their parameter, so a bad value, a
 flag the experiment does not take and a bad config value all name the field.
 SNR is given in dB.  Exit codes: 0 success, 1 validation error, 2 numeric
-failure, 3 acceptance-suite failure (verify only).
+failure or out of memory, 3 acceptance-suite failure (verify only).
 """
 
 import argparse
-import math
 import re
 import sys
 
@@ -48,67 +47,6 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(glued, namespace)
 
 
-# A start:step:stop SNR grid longer than this is a typo, not an experiment.
-_MAX_GRID_POINTS = 10_000
-
-
-def _parse_list(field, text, kind=float, sep=","):
-    """The values of a list flag; a value that does not parse is an error
-    naming the flag's field."""
-    try:
-        return [kind(x) for x in str(text).split(sep)]
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise ValueError(f"{field}: expected {noun}, got {text!r}") from None
-
-
-def _parse_grid(field, text):
-    """Parse '0:2:40' (start:step:stop, inclusive), 'a,b,c', or a scalar."""
-    if ":" not in text:
-        return _parse_list(field, text)
-    parts = _parse_list(field, text, sep=":")
-    start, step, stop = parts if len(parts) == 3 else (0.0, 0.0, 0.0)
-    grid = []
-    if (step > 0.0 and math.isfinite(start) and math.isfinite(stop + step)
-            and (stop - start) / step < _MAX_GRID_POINTS):
-        grid = [float(v) for v in np.arange(start, stop + 0.5 * step, step)]
-    if not grid:
-        raise ValueError(f"{field}: bad grid spec {text!r}; expected "
-                         f"start:step:stop with step > 0, start <= stop and "
-                         f"fewer than {_MAX_GRID_POINTS} points")
-    return grid
-
-
-def _parse_flag(field, param, text):
-    """A flag's text as its parameter's value: a name, one number, a list
-    of numbers, or a grid (one number if it has one point)."""
-    if param.kind == "name":
-        return text
-    if param.kind == "grid":
-        grid = _parse_grid(field, text)
-        return grid if len(grid) > 1 else grid[0]
-    values = _parse_list(field, text, int if param.kind in ("int", "ints")
-                         else float)
-    if param.kind in ("ints", "floats"):
-        return values
-    if len(values) != 1:
-        raise ValueError(f"{field}: expected one value, got {text!r}")
-    return values[0]
-
-
-def _flag(field, param):
-    return param.flag or "--" + field.replace("_", "-")
-
-
-def _shown(default):
-    """A default as its flag would be written."""
-    if isinstance(default, range):
-        return f"{default.start}:{default.step}:{default[-1]}"
-    if isinstance(default, tuple):
-        return ",".join(map(str, default))
-    return str(default)
-
-
 def _build_parser(argv=()):
     """The command's parser.  It holds only the subcommand that ``argv[0]``
     names, or all of them if ``argv[0]`` names none: each subcommand costs
@@ -125,9 +63,8 @@ def _build_parser(argv=()):
         p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
         p.add_argument("--config", help="JSON config file (flags override it)")
         for field, param in PARAMS[experiment].items():
-            p.add_argument(_flag(field, param), dest=field,
-                           help=f"{param.help} (default: "
-                                f"{_shown(param.default)})")
+            p.add_argument(param.option(field), dest=field,
+                           help=f"{param.help} (default: {param.shown()})")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
     return parser
@@ -142,8 +79,6 @@ def _unknown_flags(experiment, unknown):
 
 
 def _config_from_args(args):
-    if args.experiment == "verify" and args.fmt == "csv":
-        raise ValueError("format: verify writes a JSON report")
     if args.config:
         config = ExperimentConfig.from_file(args.config)
         if config.experiment != args.experiment:
@@ -154,7 +89,7 @@ def _config_from_args(args):
     for field, param in PARAMS[args.experiment].items():
         text = getattr(args, field)
         if text is not None:
-            config.params[field] = _parse_flag(field, param, text)
+            config.params[field] = param.parse(field, text)
     if args.out is not None:
         config.out = args.out
     if args.fmt is not None:
@@ -206,17 +141,15 @@ def main(argv=None):
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
 
-    if config.experiment == "verify":
-        all_ok = _print_verify_lines(table)
-        if config.out is not None:
-            emit(table, config.out, "json")
-            print(f"wrote {config.out}")
-        return 0 if all_ok else 3
-
-    emit(table, config.out, config.fmt)
-    print(f"wrote {config.out}")
-    return 0
+    all_ok = config.experiment != "verify" or _print_verify_lines(table)
+    if config.out is not None:  # verify alone may write no file
+        emit(table, config.out, config.fmt)
+        print(f"wrote {config.out}")
+    return 0 if all_ok else 3
 
 
 if __name__ == "__main__":

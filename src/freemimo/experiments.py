@@ -66,9 +66,13 @@ def _is_number(value, integer=False):
     return math.isfinite(x) and (not integer or x.is_integer())
 
 
+# A start:step:stop SNR grid longer than this is a typo, not an experiment.
+_MAX_GRID_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class Param:
-    """One parameter of an experiment.
+    """One parameter of an experiment: its values, its flag and its default.
 
     ``kind``: "int" or "float" (one number), "ints" or "floats" (one number
     or a list), "grid" (the same, strictly increasing) or "name" (one of
@@ -82,6 +86,55 @@ class Param:
     default: object
     help: str
     flag: str | None = None
+
+    def option(self, name):
+        """The command-line flag of parameter ``name``."""
+        return self.flag or "--" + name.replace("_", "-")
+
+    def shown(self):
+        """The default as its flag would be written."""
+        default = self.default
+        if isinstance(default, range):
+            return f"{default.start}:{default.step}:{default[-1]}"
+        if isinstance(default, tuple):
+            return ",".join(map(str, default))
+        return str(default)
+
+    def parse(self, name, text):
+        """A flag's text as this parameter's value: a name, one number, a
+        list of numbers, or a grid, '0:2:40' (start:step:stop, inclusive)
+        or 'a,b,c' (one number if it has one point).  Text that does not
+        parse is an error naming the field.  argparse passes the text
+        "--" as [], which is an error too."""
+        if self.kind == "name":
+            return text
+        number = int if self.kind in ("int", "ints") else float
+        sep = ":" if self.kind == "grid" and ":" in text else ","
+        try:
+            values = [number(x) for x in str(text).split(sep)]
+        except ValueError:
+            noun = "integers" if number is int else "numbers"
+            raise ValueError(f"{name}: expected {noun}, got {text!r}") from None
+        if sep == ":":
+            start, step, stop = values if len(values) == 3 else (0.0, 0.0, 0.0)
+            values = []
+            if (step > 0.0 and math.isfinite(start)
+                    and math.isfinite(stop + step)
+                    and (stop - start) / step < _MAX_GRID_POINTS):
+                values = [float(v) for v in
+                          np.arange(start, stop + 0.5 * step, step)]
+            if not values:
+                raise ValueError(f"{name}: bad grid spec {text!r}; expected "
+                                 f"start:step:stop with step > 0, start <= "
+                                 f"stop and fewer than {_MAX_GRID_POINTS} "
+                                 f"points")
+        if self.kind == "grid":
+            return values if len(values) > 1 else values[0]
+        if self.kind in ("ints", "floats"):
+            return values
+        if len(values) != 1:
+            raise ValueError(f"{name}: expected one value, got {text!r}")
+        return values[0]
 
     def error(self, name, raw):
         """The message for a given value outside this parameter, or None."""
@@ -214,12 +267,17 @@ def _resolve(experiment, params):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.  ``fmt`` defaults
+    to the experiment's own format: JSON for verify, CSV for the others."""
 
     experiment: str
     params: dict = field(default_factory=dict)
     out: str | None = None
-    fmt: str = "csv"
+    fmt: str | None = None
+
+    def __post_init__(self):
+        if self.fmt is None:
+            self.fmt = "json" if self.experiment == "verify" else "csv"
 
     @classmethod
     def from_file(cls, path):
@@ -236,7 +294,7 @@ class ExperimentConfig:
         return cls(experiment=raw.get("experiment", ""),
                    params=dict(params),
                    out=output.get("path"),
-                   fmt=output.get("format", "csv"))
+                   fmt=output.get("format"))
 
     def validate(self):
         """Return a list of messages, one per offending field; empty if valid.
@@ -249,6 +307,8 @@ class ExperimentConfig:
         errors = []
         if self.fmt not in ("csv", "json"):
             errors.append(f"format: must be csv or json, got {self.fmt!r}")
+        elif self.experiment == "verify" and self.fmt == "csv":
+            errors.append("format: verify writes a JSON report")
         if self.out is not None and not isinstance(self.out, str):
             errors.append(f"output.path: must be a string, got {self.out!r}")
         table = PARAMS[self.experiment]

@@ -136,6 +136,11 @@ def test_deviation_product():
     assert abs(asy.deviation_product_iid(2, 0.9) - 0.6643856189774725) < 1e-12
     with pytest.raises(DomainError):
         asy.deviation_product_iid(0, 0.5)
+    # Any integer counts factors, numpy's too; a bool is not a count.
+    assert asy.deviation_product_iid(np.int64(2), 0.5) == 1.0
+    for m in (True, False, 2.0):
+        with pytest.raises(DomainError):
+            asy.deviation_product_iid(m, 0.5)
 
 
 def _quadrature_deviation(family, beta):

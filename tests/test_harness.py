@@ -265,10 +265,26 @@ def test_cli_negative_grid_with_spaced_flag(tmp_path):
 
 
 def test_cli_grid_parsing():
-    assert cli._parse_grid("gamma_db", "0:2:40") == [
+    grid = PARAMS["loss-curve"]["gamma_db"]
+    assert grid.parse("gamma_db", "0:2:40") == [
         float(v) for v in range(0, 41, 2)]
-    assert cli._parse_grid("gamma_db", "1,2.5,7") == [1.0, 2.5, 7.0]
-    assert cli._parse_grid("gamma_db", "30") == [30.0]
+    assert grid.parse("gamma_db", "1,2.5,7") == [1.0, 2.5, 7.0]
+    assert grid.parse("gamma_db", "30") == 30.0
+
+
+def test_shown_default_is_a_flag_value():
+    # The default that --help shows parses, passes validation and converts
+    # to the default itself; sigma2 = "rows" names another field instead.
+    named = []
+    for experiment, table in PARAMS.items():
+        for name, param in table.items():
+            if param.default == "rows":
+                named.append((experiment, name))
+                continue
+            value = param.parse(name, param.shown())
+            assert param.error(name, value) is None, (experiment, name)
+            assert param.convert(value) == param.convert(param.default)
+    assert named == [("loss-curve", "sigma2"), ("monotonicity", "sigma2")]
 
 
 def test_readme_command_lines_parse():
@@ -382,13 +398,14 @@ def test_cli_bad_config_value_is_validation_error(experiment, params, field,
      "sigma2"),
     (["loss-curve", "--trials", "x"], "trials"),
     (["deviation-sweep", "--ensemble", "haar_unitary", "--m", "2"], "m"),
+    (["loss-curve", "--gamma-db=--"], "gamma_db"),
 ], ids=["haar-4x2", "monotonicity-haar-4x2", "product-4x2",
         "convergence-haar", "convergence-product",
         "convergence-beta-below-phi", "beta-abc",
         "beta_list", "n-abc", "n_list", "grid-step", "grid-backwards",
         "grid-too-long", "beta-two-values", "n-two-values",
         "transforms-trials", "loss-curve-family", "haar-sigma2",
-        "trials-text", "m-haar"])
+        "trials-text", "m-haar", "grid-dashes"])
 def test_cli_bad_flag_names_its_field(argv, field, tmp_path, capsys):
     out = tmp_path / "x.csv"
     # Few trials, in case a bad flag were accepted; the case's own flags
@@ -523,6 +540,19 @@ def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_exit_code(monkeypatch, tmp_path, capsys):
+    def boom(config):
+        raise MemoryError("Unable to allocate 1.31 TiB")
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    out = tmp_path / "x.csv"
+    code = cli.main(["deviation-sweep", "--n", "300000", "--trials", "2",
+                     "--beta", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("out of memory: Unable to allocate "
+                                       "1.31 TiB\n")
+    assert not out.exists()
+
+
 def test_cli_non_finite_result_is_numeric_failure(tmp_path, capsys):
     # At sigma^2 = 1e308 the Gram of H overflows a double whatever gamma is:
     # a JSON file would hold Infinity and NaN, which JSON has no numbers
@@ -589,6 +619,22 @@ def test_cli_verify_rejects_csv(monkeypatch, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--format", "json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["rows"] == []
+
+
+def test_cli_verify_config_rejects_csv(monkeypatch, tmp_path, capsys):
+    # A config file's "format" follows the same rule as --format.
+    monkeypatch.setattr(acceptance, "run_all", lambda only=None: [])
+    out, cfg_path = tmp_path / "r.csv", tmp_path / "v.json"
+    cfg_path.write_text(json.dumps({
+        "schema": "freemimo-config/1", "experiment": "verify",
+        "output": {"path": str(out), "format": "csv"}}))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == ("error: format: verify writes a JSON "
+                                       "report\n")
+    assert not out.exists()
+    assert ExperimentConfig("verify", fmt="csv").validate() == [
+        "format: verify writes a JSON report"]
+    assert not ExperimentConfig("verify").validate()
 
 
 def test_cli_config_file(tmp_path):

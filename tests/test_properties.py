@@ -88,7 +88,7 @@ def test_validate_never_raises(config, out, fmt):
 
 
 # (experiment, flag, field) of every numeric parameter's flag.
-FLAGS = [(experiment, cli._flag(name, param), name)
+FLAGS = [(experiment, param.option(name), name)
          for experiment, table in PARAMS.items()
          for name, param in table.items() if param.kind != "name"]
 NUMERIC_TEXT = st.text(alphabet="0123456789.,:-+eE infa_ ", max_size=16)
