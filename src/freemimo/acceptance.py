@@ -187,7 +187,7 @@ def criterion_7():
     spec = mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0)
     h = mc.sample_matrix(spec, 701)
     hp = mc.apply_projector(h, mc.ProjectorSpec("receive", 0.5))
-    w = np.maximum(np.linalg.eigvalsh(hp @ hp.conj().T), 0.0)
+    w = np.maximum(np.linalg.eigvalsh(it._gram_smaller_side(hp)), 0.0)
     restricted = sp.EmpiricalSpectrum(w)
     inner = sp.SquareIidGram(1.0)
     worst = max(abs(sp.s_transform(restricted, z)

@@ -10,9 +10,8 @@ S-transform ratio integral, and is additive under free multiplication.
 """
 
 import math
-from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .spectra import FreeProduct, binary_entropy
 
 
@@ -84,7 +83,7 @@ def deviation_product_iid(m, beta):
     """Deviation for a product of m independent square iid factors: the
     single-factor deviation scales linearly in m.  ``m`` is any integer
     but a bool."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+    if not is_integer(m) or m < 1:
         raise DomainError(f"requires integer m >= 1, got {m}")
     return int(m) * deviation_iid(beta)
 

@@ -22,6 +22,7 @@ from .asymptotics import (
     deviation_from_linear,
     deviation_product_iid,
 )
+from .errors import is_integer, is_real
 from .montecarlo import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -55,9 +56,9 @@ def db_to_linear(db):
 
 
 def _is_number(value, integer=False):
-    """A finite JSON number (not a bool or a string); with ``integer``, one
-    with an integral value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite real number, Python's or numpy's (not a bool or a string);
+    with ``integer``, one with an integral value."""
+    if not is_real(value):
         return False
     try:
         x = float(value)
@@ -163,7 +164,7 @@ class Param:
         if self.kind in ("int", "float"):
             return number(value)
         return [number(v) for v in
-                ([value] if isinstance(value, (int, float)) else value)]
+                ([value] if is_real(value) else value)]
 
 
 # Spectral families of the transforms experiment, built from its params.
@@ -496,11 +497,23 @@ def run_experiment(config):
         if not all(isinstance(v, str) or math.isfinite(v) for v in values):
             raise FloatingPointError(f"{name}: a value is not finite")
     meta = {"schema": CONFIG_SCHEMA, "experiment": config.experiment,
-            "params": dict(config.params), "master_seed": seed,
+            "params": {name: _plain(raw) for name, raw in
+                       config.params.items()},
+            "master_seed": seed,
             "code_version": __version__,
             "wall_clock_s": time.monotonic() - start}
     meta.update(*timings)
     return ResultTable(columns=columns, rows=rows, metadata=meta)
+
+
+def _plain(value):
+    """A parameter value as JSON writes it: a numpy number becomes the
+    Python int or float of the same value, a tuple a list."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if is_integer(value):
+        return int(value)
+    return float(value) if is_real(value) else value
 
 
 def _format_cell(value):

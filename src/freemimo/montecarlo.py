@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .infotheory import (_gram_smaller_side, _log2_one_plus,
                          _multiplexing_rate, _mutual_info)
 from .spectra import Dirac, EmpiricalSpectrum, FreeProduct, SquareIidGram
@@ -343,10 +343,9 @@ def apply_projector(h, proj):
 def empirical_spectrum(spec, seed, trial=0):
     """Full T-dimensional Gram spectrum of one sampled R x T matrix: the
     eigenvalues of its smaller-side Gram and T - min(R, T) exact zeros."""
-    h = sample_matrix(spec, seed, trial)
-    w = np.maximum(np.linalg.eigvalsh(_gram_smaller_side(h)), 0.0)
-    return EmpiricalSpectrum(
-        np.concatenate([np.zeros(h.shape[1] - w.size), w]))
+    gram = _gram_smaller_side(sample_matrix(spec, seed, trial))
+    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+    return EmpiricalSpectrum(np.concatenate([np.zeros(spec.cols - w.size), w]))
 
 
 def limiting_family(spec):
@@ -470,7 +469,7 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
         raise ValueError(f"proj: every trial pairs its draw with a projection"
                          f"; pass a ProjectorSpec (beta = 1 keeps every "
                          f"antenna), got {proj!r}")
-    if not isinstance(trials, (int, np.integer)):
+    if not is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")

@@ -75,6 +75,29 @@ def test_validation_never_raises(experiment):
         assert ExperimentConfig(experiment, {name: "10"}).validate()
 
 
+@pytest.mark.parametrize("given, written", [
+    ({"n": np.int64(16), "trials": np.int64(4)}, {"n": 16, "trials": 4}),
+    ({"gamma_db": np.float32(10), "beta_list": (np.float64(0.5),),
+      "n": 16, "trials": 4},
+     {"gamma_db": 10.0, "beta_list": [0.5], "n": 16, "trials": 4}),
+], ids=["int64", "float32"])
+def test_numpy_scalars_are_numbers(given, written, tmp_path):
+    # Any real number but a bool is a value, numpy's too; the report's
+    # metadata holds the plain JSON number of the same value.
+    cfg = ExperimentConfig("deviation-sweep", given)
+    assert cfg.validate() == []
+    plain = run_experiment(ExperimentConfig("deviation-sweep", written))
+    table = run_experiment(cfg)
+    assert table.rows == plain.rows
+    path = tmp_path / "r.json"
+    emit(table, path, "json")
+    assert json.loads(path.read_text())["metadata"]["params"] == written
+    for flag in (True, np.bool_(True)):
+        assert ExperimentConfig("deviation-sweep",
+                                {"n": flag}).validate() == [
+            f"n: not an integer: {flag!r}"]
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -354,6 +355,73 @@ def test_unitary_invariance():
     v = mc.sample_matrix(mc.EnsembleSpec("haar_unitary", 4, 4), 21)
     assert abs(it.mutual_info_finite(h, 7.0)
                - it.mutual_info_finite(u @ h @ v, 7.0)) < 1e-9
+
+
+def _complex_draw(seed, *shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _one_product_gram(h):
+    r, t = h.shape[-2:]
+    return (h @ h.conj().swapaxes(-1, -2) if r < t
+            else h.conj().swapaxes(-1, -2) @ h)
+
+
+def _c7_view():
+    """C7's draw cut to its leading 512 of 1024 rows: a wide view."""
+    h = mc.sample_matrix(mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024),
+                         701)
+    return mc.apply_projector(h, mc.ProjectorSpec("receive", 0.5))
+
+
+# Tall, wide and stacked draws over GRAM_BLOCK_BYTES; 257 and 513 are
+# 1 (mod 64), so a one-wide last block would be left over.
+BLOCKED_DRAWS = {
+    "tall": lambda: _complex_draw(1, 1024, 512),
+    "wide": lambda: _complex_draw(2, 512, 1024),
+    "wide-257": lambda: _complex_draw(3, 257, 1031),
+    "tall-257": lambda: _complex_draw(4, 1031, 257),
+    "tall-513": lambda: _complex_draw(5, 1024, 513),
+    "stack": lambda: _complex_draw(6, 3, 129, 400),
+    "c7-view": _c7_view,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_DRAWS))
+def test_blocked_gram_keeps_the_bytes_of_one_product(name):
+    # Bytes, not values: array_equal cannot tell -0.0 from +0.0.
+    h = BLOCKED_DRAWS[name]()
+    assert h.nbytes > it.GRAM_BLOCK_BYTES
+    assert (it._gram_smaller_side(h).tobytes()
+            == _one_product_gram(h).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(1024, 512), (512, 1024)])
+def test_real_gram_is_one_copy_free_product(shape):
+    h = np.random.default_rng(7).standard_normal(shape)
+    assert h.nbytes > it.GRAM_BLOCK_BYTES
+    want = h @ h.T if shape[0] < shape[1] else h.T @ h
+    tracemalloc.start()
+    try:
+        got = it._gram_smaller_side(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= got.nbytes + 2 ** 20
+
+
+def test_blocked_gram_holds_one_block_of_the_conjugate():
+    h = _complex_draw(1, 1024, 512)
+    tracemalloc.start()
+    try:
+        gram = it._gram_smaller_side(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One product held all 8 MiB of conj(h) beside the 4 MiB Gram.
+    assert peak <= gram.nbytes + it.GRAM_BLOCK_BYTES + 2 ** 20
 
 
 def test_multiplexing_rate_finite_examples():

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,6 +169,24 @@ def test_square_iid_spectral_edge():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0), 7)
     assert abs(spec.eigenvalues[-1] - 4.0) < 0.3
+
+
+def test_empirical_spectrum_holds_no_second_draw():
+    spec = mc.EnsembleSpec("iid_complex_gaussian", 1024, 512)
+    h = mc.sample_matrix(spec, 3)
+    w = np.maximum(np.linalg.eigvalsh(h.conj().T @ h), 0.0)
+    del h
+    tracemalloc.start()
+    try:
+        got = mc.empirical_spectrum(spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.eigenvalues.tobytes() == w.tobytes()
+    # The draw (8 MiB) is dropped before eigvalsh, and its Gram (4 MiB) is
+    # built one 2 MiB block at a time: at one product and with the draw
+    # kept alive, the peak was 20 MiB.
+    assert peak <= 15 * 2 ** 20
 
 
 def test_vanishing_variance_spectrum():
@@ -449,8 +468,9 @@ def test_trial_stats_only_computes_requested():
     with pytest.raises(ValueError):
         mc.trial_stats(spec, KEEP_ALL, [10.0], 1, 1)
     # A count must be an integer: a float is named, not passed to range.
-    with pytest.raises(ValueError, match="trials"):
-        mc.trial_stats(spec, KEEP_ALL, [10.0], 3.0, 1)
+    for trials in (3.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mc.trial_stats(spec, KEEP_ALL, [10.0], trials, 1)
     for trials in (3, np.int64(3)):
         assert mc.trial_stats(spec, KEEP_ALL, [10.0], trials, 1,
                               ("mr",)).mr_ref.shape == (1, 3)
