@@ -9,9 +9,15 @@ one such Philox per call and re-keys it for each trial by setting its
 counter, which yields exactly the stream of ``trial_rng(seed, t)``;
 ``sample_matrix`` is the one-trial case of the same sampling path.  The
 engine stacks trials in chunks.  Each chunk is sampled in two steps: a fill
-writes each trial's standard normals into one block, trial by trial, and
-``_sample_chunk`` turns the block into the chunk's draws in its own memory
-(scale, re/im interleave, Haar QR or the product of the factors).  The
+writes each trial's standard normals into one block per factor (one block
+for every kind but a product), trial by trial, and ``_sample_chunk`` turns
+the blocks into the chunk's draws in the first block's memory (scale,
+re/im interleave, Haar QR or the product of the factors).  A trial's
+factors take its stream in turn, so split fills draw the numbers of one
+fill of the whole row.  A product is formed in place, one block of rows at
+a time, and a one-trial chunk fills each later factor only as it is
+multiplied in, into one shared block: a one-trial product holds two
+factors and the interleave's scratch, however many factors it has.  The
 stack is then reduced, by batched LAPACK calls or by a closed form (see
 Factorizations).  Every matrix of a stack is drawn and reduced on its own,
 so chunking never changes a result byte.
@@ -22,7 +28,8 @@ GIL, and it is then the only thread that uses the call's streams;
 everything else runs on the calling thread, on the same path as the serial
 loop that serves one-chunk calls and one-trial chunks.  Each trial's stream
 is fixed by (seed, trial), so which thread fills a trial never changes a
-byte.
+byte.  The serial loop fills one first block for all of a call's one-trial
+chunks, so a large draw's pages stay mapped from trial to trial.
 Trial reductions (mean, standard error: ``mean_stderr``) are computed over
 an array indexed by trial, which numpy sums in a fixed order.
 
@@ -46,7 +53,6 @@ Gram.
 """
 
 import contextlib
-import functools
 import math
 import queue
 import threading
@@ -77,6 +83,13 @@ STATS = ("mi", "mr")
 # call took about 36,000 minor faults when each chunk allocated its own
 # while the sampler thread ran, and about 225 with them allocated once.
 CHUNK_BYTES = 256 * 2 ** 10
+
+# A product's running product is formed over its first factor one block of
+# rows at a time (``_multiply_in_place``), each block's product in a scratch
+# array of about this many bytes.  At 512 x 512 that is a quarter of a draw:
+# no more than the interleave's im copy, so the product adds nothing to a
+# one-trial product's peak of two factors and that copy.
+PRODUCT_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -185,26 +198,67 @@ class _TrialStreams:
             "counter": self._counter,
             "key": [int(word) for word in start["state"]["key"]]}}
 
-    def fill(self, out, trials):
-        """Fill out[i] with the first out[i].size standard normals of the
-        stream of trials[i]; return out."""
+    def fill(self, blocks, trials):
+        """Fill row i of each of ``blocks`` from the stream of trials[i],
+        re-keyed once: the blocks take its standard normals in turn, the
+        numbers one fill of the rows laid end to end would draw.  Return
+        blocks."""
         bits, start, counter, normal = (self._bits, self._start,
                                         self._counter, self._normal)
+        if len(blocks) == 1:  # every kind but a product: one call a trial
+            out = blocks[0]
+            for i, trial in enumerate(trials):
+                counter[2] = trial
+                bits.state = start
+                normal(out=out[i])
+            return blocks
         for i, trial in enumerate(trials):
             counter[2] = trial
             bits.state = start
-            normal(out=out[i])
-        return out
+            for block in blocks:
+                normal(out=block[i])
+        return blocks
+
+    def resume(self, out):
+        """Fill out with the next standard normals of the stream filled
+        last."""
+        self._normal(out=out)
 
 
 def _normals_shape(spec, k):
-    """(k, m): the standard normals k trials of ``spec`` draw, one row per
-    trial in stream order.  A complex matrix takes its real parts, then its
-    imaginary parts; a product takes its factors in order."""
+    """(k, width): the block of standard normals k trials of ``spec`` draw
+    for one matrix, one row per trial in stream order.  A complex matrix takes
+    its real parts, then its imaginary parts; a product takes one block per
+    factor, in order (``_chunk_normals``)."""
     per = spec.rows * spec.cols
-    if spec.kind == "iid_real_gaussian":
-        return k, per
-    return k, 2 * per * (spec.factors if spec.kind == "product_iid" else 1)
+    return k, per if spec.kind == "iid_real_gaussian" else 2 * per
+
+
+def _chunk_normals(streams, spec, trials, first=None):
+    """The normals blocks of a chunk of ``trials``, one per factor of
+    ``spec`` (one for every kind but a product), in factor order.
+
+    Each trial's stream is re-keyed once and its factors take its normals
+    in turn (``_TrialStreams.fill``).  A chunk of several trials fills every
+    block before it yields the first.  A one-trial chunk fills each block as
+    it is asked for, and the blocks after the first share one array, so the
+    caller must be done with a block before it asks for the next, and
+    nothing else may use ``streams`` until the last is filled: a one-trial
+    product then holds two factors, however many it has.  Its first block
+    is ``first``, a ``_normals_shape(spec, 1)`` array, if one is given.
+    """
+    shape = _normals_shape(spec, len(trials))
+    if len(trials) > 1:
+        yield from streams.fill(
+            [np.empty(shape) for _ in range(spec.factors)], trials)
+        return
+    yield streams.fill([np.empty(shape) if first is None else first],
+                       trials)[0]
+    if spec.factors > 1:
+        block = np.empty(shape)
+        for _ in range(1, spec.factors):
+            streams.resume(block[0])
+            yield block
 
 
 def _scratch_array(scratch, shape, dtype, name):
@@ -247,19 +301,23 @@ def _interleave(flat, scale, scratch=None):
 
 def _sample_chunk(spec, normals, trials, scratch=None):
     """(len(trials), rows, cols) stack of the draws of the given trials,
-    made from their normals in the memory of ``normals``.
+    made from their normals in the memory of the first block.
 
-    ``normals`` is a ``_normals_shape(spec, len(trials))`` block filled by
-    ``_TrialStreams.fill``.  Each trial's draw is the same whichever chunk
-    it falls in.  A product multiplies its square factors left to right.
+    ``normals`` yields the chunk's normals blocks, one per factor, as
+    ``_chunk_normals`` does; each block is done with before the next is
+    asked for.  Each trial's draw is the same whichever chunk it falls in.
+    A product multiplies its square factors left to right, the running
+    product in the first factor's memory (``_multiply_in_place``).
     """
     r, t = spec.rows, spec.cols
     k = len(trials)
+    blocks = iter(normals)
+    first = next(blocks)
     if spec.kind == "iid_real_gaussian":
-        np.multiply(normals, math.sqrt(spec.variance / r), out=normals)
-        return normals.reshape(k, r, t)
+        np.multiply(first, math.sqrt(spec.variance / r), out=first)
+        return first.reshape(k, r, t)
     if spec.kind == "haar_unitary":
-        h = _interleave(normals, 1.0, scratch).reshape(k, r, t)
+        h = _interleave(first, 1.0, scratch).reshape(k, r, t)
         q, upper = np.linalg.qr(h)
         d = np.diagonal(upper, axis1=-2, axis2=-1)
         # Phase correction makes the QR draw exactly Haar-distributed.
@@ -267,17 +325,40 @@ def _sample_chunk(spec, normals, trials, scratch=None):
     # iid_complex_gaussian, or product_iid: the left-to-right product of
     # square factors.
     scale = math.sqrt(spec.variance / (2.0 * r))
-    width = 2 * r * t
-    factors = [_interleave(normals[:, lo:lo + width], scale, scratch
-                           ).reshape(k, r, t)
-               for lo in range(0, normals.shape[1], width)]
-    return functools.reduce(np.matmul, factors)
+    prod = _interleave(first, scale, scratch).reshape(k, r, t)
+    for block in blocks:
+        _multiply_in_place(
+            prod, _interleave(block, scale, scratch).reshape(k, r, t), scratch)
+    return prod
+
+
+def _multiply_in_place(prod, factor, scratch=None):
+    """prod @ factor, written over prod one block of its rows at a time.
+
+    Rows I of the product are prod[:, I] @ factor, formed in a scratch array
+    of at most about ``PRODUCT_BLOCK_BYTES`` and copied back, so each entry
+    has the operands, and the bytes, of the one product.  Blocks are
+    multiples of 64 rows and never one row: numpy forms a one-row block as
+    a matrix-vector product, which rounds differently, so a last block of
+    one row joins the block before it.
+    """
+    n = prod.shape[1]
+    rows = max(1, PRODUCT_BLOCK_BYTES // prod[:, 0].nbytes // 64) * 64
+    starts = list(range(0, n, rows))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    tmp = _scratch_array(
+        scratch, (len(prod), max(b - a for a, b in zip(starts, ends)), n),
+        prod.dtype, "product")
+    for a, b in zip(starts, ends):
+        prod[:, a:b] = np.matmul(prod[:, a:b], factor, out=tmp[:, :b - a])
 
 
 _STOP = object()  # tells the helper of _pipelined_normals to return
 
 
-def _pipelined_normals(streams, shape, chunks):
+def _pipelined_normals(streams, spec, chunks):
     """Each chunk's normals, the next chunk's filled on a helper thread
     while the caller makes and reduces this chunk's draws.
 
@@ -288,7 +369,8 @@ def _pipelined_normals(streams, shape, chunks):
     is the only thread that touches ``streams`` and it fills the chunks in
     order, so every byte is the serial loop's.  A fill's exception is
     raised here; closing the generator stops the helper after the fill in
-    flight and joins it.
+    flight and joins it.  Each of the two is a list of blocks, one per
+    factor of ``spec``.
     """
     spares, filled = queue.SimpleQueue(), queue.SimpleQueue()
 
@@ -298,14 +380,15 @@ def _pipelined_normals(streams, shape, chunks):
                 spare = spares.get()
                 if spare is _STOP:
                     return
-                normals = spare[:len(trials)]
+                normals = [block[:len(trials)] for block in spare]
                 streams.fill(normals, trials)
                 filled.put(normals)
         except BaseException as exc:  # raised again in the caller's thread
             filled.put(exc)
 
-    spares.put(np.empty(shape))
-    spares.put(np.empty(shape))
+    shape = _normals_shape(spec, len(chunks[0]))
+    for _ in range(2):
+        spares.put([np.empty(shape) for _ in range(spec.factors)])
     helper = threading.Thread(target=fill)
     helper.start()
     try:
@@ -322,8 +405,7 @@ def _pipelined_normals(streams, shape, chunks):
 
 def sample_matrix(spec, seed, trial=0):
     """Draw one channel matrix; bit-identical for identical (spec, seed, trial)."""
-    normals = np.empty(_normals_shape(spec, 1))
-    _TrialStreams(seed).fill(normals, [trial])
+    normals = _chunk_normals(_TrialStreams(seed), spec, [trial])
     return _sample_chunk(spec, normals, [trial])[0]
 
 
@@ -486,19 +568,23 @@ def trial_stats(spec, proj, gammas, trials, master_seed, stats=STATS):
               for lo in range(0, trials, chunk)]
     # A one-chunk call has nothing to overlap.  A one-trial chunk is a draw
     # over 128 KiB: a second block of normals would cost more memory than
-    # the overlap saves.  The serial loop gives each chunk a new block that
-    # only the caller holds, so a one-trial chunk's draw and temporaries are
-    # freed once reduced, and the peak stays one draw and its factorization.
+    # the overlap saves.  The serial loop fills one first block, which
+    # becomes the draw, for every one-trial chunk of the call: the draw
+    # lives through its reduction anyway, so the peak stays one draw and
+    # its factorization, and its pages stay mapped (a new 4 MiB block each
+    # 512 x 512 trial faulted in about 1000 pages).  A product's later
+    # factors are freed before the reduction.
     streams = _TrialStreams(master_seed)
-    shape = _normals_shape(spec, len(chunks[0]))
-    normals = (_pipelined_normals(streams, shape, chunks)
+    first = np.empty(_normals_shape(spec, 1)) if chunk == 1 else None
+    normals = (_pipelined_normals(streams, spec, chunks)
                if chunk > 1 and len(chunks) > 1 else
-               (streams.fill(np.empty(shape), batch) for batch in chunks))
+               (_chunk_normals(streams, spec, batch, first)
+                for batch in chunks))
     scratch = {} if chunk > 1 else None
     with contextlib.closing(normals):
         for batch in chunks:
-            # No name here holds a chunk's draws, so they are freed before
-            # the next chunk is sampled.
+            # No name here holds a chunk's draws, so they are freed, or
+            # refilled in ``first``, before the next chunk is sampled.
             values = _chunk_stats(
                 _sample_chunk(spec, next(normals), batch, scratch), proj, gam,
                 stats, scratch)

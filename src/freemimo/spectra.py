@@ -49,6 +49,7 @@ search, since the answer at that double is already known.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +63,8 @@ LOG2E = math.log2(math.e)
 # Root finding: brackets close to 4 ulps; exp overflows above _MAX_LOG.
 _XTOL = 2.0 ** -50
 _MAX_LOG = 709.0
+# Below this |z| * mean, the smallest normal double, Psi(z) is z / S(0-).
+_TINY = sys.float_info.min
 
 
 def binary_entropy(p):
@@ -244,16 +247,25 @@ class EmpiricalSpectrum(SpectralFamily):
     def _psi(self, z):
         """Mean of z x / (1 - z x) = 1 / (1/(z x) - 1), summed over the
         nonzero eigenvalues, since a zero one contributes 0.  Where z x
-        rounds to -inf or -0 the term is -1 or -0."""
+        rounds to -inf the term is -1.  Where 1/(z x) overflows, z x is
+        below 1e-308 in magnitude and the term is z x itself; the smallest
+        |z x| is the first, since the eigenvalues are sorted."""
         with np.errstate(over="ignore", divide="ignore"):
-            terms = 1.0 / (1.0 / (z * self.nonzero) - 1.0)
+            zx = z * self.nonzero
+            terms = 1.0 / (1.0 / zx - 1.0)
+        if terms.size and terms[0] == 0.0:
+            terms = np.where(terms == 0.0, zx, terms)
         return float(np.sum(terms)) / self.total_dim
 
     def _psi_inverse(self, y):
         return invert_psi(self._psi, y, self.mean)
 
     def _s(self, z):
-        return (z + 1.0) / z * self._psi_inverse(z)
+        """(z + 1)/z * Psi^{-1}(z); at a subnormal z, where (z + 1)/z
+        overflows, (z + 1) * (Psi^{-1}(z) / z)."""
+        ratio = (z + 1.0) / z
+        x = self._psi_inverse(z)
+        return ratio * x if ratio > -math.inf else (z + 1.0) * (x / z)
 
     def _eta(self, gamma):
         nz = self.nonzero
@@ -501,8 +513,16 @@ def _psi_from_inverse(family, z):
     stationary in y, by about an ulp.  Every law has -Psi^{-1}(y) >=
     -y alpha / (m (alpha + y)) by Jensen, tight for a Dirac nonzero part;
     a Psi^{-1}(edge) short of it by more than rounding is no law's, and
-    raises ConvergenceError as the walk does."""
+    raises ConvergenceError as the walk does.
+
+    Where w is below the smallest normal double, so is the root: there
+    Psi^{-1}(y) = y S(y) / (1 + y) is y S(0-) to the last bit, and Psi(z)
+    is z / S(0-), taken as z / S(-_TINY).  The walk cannot reach it: y_of
+    is 0 below alpha e^-709.  (``mean``, 1 / S(-1e-12 alpha), is too coarse
+    for the last bit.)"""
     a, m = family.alpha, family.mean
+    if -z * m < _TINY:
+        return z / family._s(-_TINY)
     edge = math.nextafter(-a, 0.0)
     log_w = math.log(-z) + math.log(m)
     if log_w - math.log(a) > 30.0:
@@ -527,10 +547,17 @@ def _psi_from_inverse(family, z):
 def invert_psi(psi, y, mean):
     """The z < 0 with psi(z) = y, for the Psi-transform psi of a measure
     with the given mean: solved for log(-z), from the z where Jensen's bound
-    |Psi(z)| <= w/(1+w), w = -z * mean, equals |y|."""
-    return _log_root(
-        psi, y, lambda v: -math.exp(v) if abs(v) < _MAX_LOG else math.nan,
-        math.log(-y) - math.log1p(y) - math.log(mean), f"Psi = {y}")
+    |Psi(z)| <= w/(1+w), w = -z * mean, equals |y|.  z may be subnormal;
+    where exp(log(-z)) overflows or underflows to 0, z is outside psi's
+    domain."""
+
+    def z_of(v):
+        z = -math.exp(v) if v < _MAX_LOG else math.nan
+        return z if z != 0.0 else math.nan
+
+    return _log_root(psi, y, z_of,
+                     math.log(-y) - math.log1p(y) - math.log(mean),
+                     f"Psi = {y}")
 
 
 # ---------------------------------------------------------------------------

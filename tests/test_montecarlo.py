@@ -72,13 +72,18 @@ EDGE_TRIALS = (0, 2 ** 32, 2 ** 64 - 1)
 def test_rekeyed_streams_are_trial_rng_streams(seed):
     # The Python-int start state re-keys to exactly the stream of
     # trial_rng(seed, t), in any trial order and after any earlier fill.
+    # Split over blocks (a product's factors), a trial's row takes the
+    # numbers of one fill of the whole row.
     streams = mc._TrialStreams(seed)
     trials = EDGE_TRIALS + EDGE_TRIALS[::-1]
     out = np.empty((len(trials), 37))
-    streams.fill(out, trials)
+    streams.fill([out], trials)
+    split = streams.fill([np.empty((len(trials), 15)),
+                          np.empty((len(trials), 22))], trials)
     for row, trial in zip(out, trials):
         expected = mc.trial_rng(seed, trial).standard_normal(37)
         assert row.tobytes() == expected.tobytes()
+    assert np.hstack(split).tobytes() == out.tobytes()
 
 
 def test_haar_unitarity():
@@ -101,6 +106,73 @@ def test_product_factors():
     h = mc.sample_matrix(spec, 4)
     assert h.shape == (64, 64)
     assert np.iscomplexobj(h)
+
+
+def _product_reference(spec, seed, trial):
+    """A product draw made independently of the engine: the trial's
+    ``trial_rng`` normals, scaled into complex factors, multiplied left to
+    right with @."""
+    n, m = spec.rows, spec.factors
+    z = mc.trial_rng(seed, trial).standard_normal((m, 2, n, n))
+    z *= math.sqrt(spec.variance / (2 * n))
+    factors = np.empty((m, n, n), complex)
+    factors.real, factors.imag = z[:, 0], z[:, 1]
+    prod = factors[0]
+    for x in factors[1:]:
+        prod = prod @ x
+    return prod
+
+
+@pytest.mark.parametrize("n", [65, 129, 257, 512])
+@pytest.mark.parametrize("m", [2, 3])
+def test_product_bytes_match_independent_reference(monkeypatch, m, n):
+    # The running product is formed in the first factor's memory, one block
+    # of rows at a time.  Its bytes are @'s, with blocks of the module's
+    # size and with 64-row blocks (so 65, 129 and 257 rows end in a one-row
+    # block that joins the one before it), in one-trial draws and in the
+    # stacked chunks of 3 trials: 2 + 1 on the helper thread, 3 in one.
+    spec = mc.EnsembleSpec("product_iid", n, n, 2.0, factors=m)
+    expected = np.stack([_product_reference(spec, 31, t) for t in range(3)])
+    drawn = []
+    sample_chunk = mc._sample_chunk
+
+    def recording(*args):
+        drawn.append(sample_chunk(*args).copy())
+        return drawn[-1]
+
+    monkeypatch.setattr(mc, "_chunk_stats", lambda *args: {})
+    for block_bytes in (mc.PRODUCT_BLOCK_BYTES, 1):
+        monkeypatch.setattr(mc, "PRODUCT_BLOCK_BYTES", block_bytes)
+        one = np.stack([mc.sample_matrix(spec, 31, t) for t in range(3)])
+        assert one.tobytes() == expected.tobytes()
+        monkeypatch.setattr(mc, "_sample_chunk", recording)
+        for per_chunk in (1, 2, 3):
+            drawn.clear()
+            monkeypatch.setattr(mc, "CHUNK_BYTES", 16 * n * n * per_chunk)
+            mc.trial_stats(spec, KEEP_ALL, [1.0], 3, 31, ("mr",))
+            assert [len(d) for d in drawn] == [
+                min(per_chunk, 3 - lo) for lo in range(0, 3, per_chunk)]
+            assert np.concatenate(drawn).tobytes() == expected.tobytes()
+        monkeypatch.setattr(mc, "_sample_chunk", sample_chunk)
+
+
+@pytest.mark.parametrize("m, bound_mib", [(2, 10.5), (3, 11.0)])
+def test_one_trial_product_holds_two_factors(m, bound_mib):
+    # A one-trial product fills each factor's normals as it multiplies it
+    # in, into one array shared by factors 2..m, and forms the product in
+    # the first factor's memory: two draws (4 MiB each) and the
+    # interleave's im copy (2 MiB), whatever m is.  With every factor's
+    # normals in one block and each partial product new, the peak was
+    # 12 MiB at m = 2 and 20 MiB at m = 3.
+    spec = mc.EnsembleSpec("product_iid", 512, 512, 1.0, factors=m)
+    tracemalloc.start()
+    try:
+        h = mc.sample_matrix(spec, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.tobytes() == _product_reference(spec, 5, 0).tobytes()
+    assert peak <= bound_mib * 2 ** 20
 
 
 def test_ensemble_validation():
@@ -725,6 +797,28 @@ def test_engine_draws_match_sample_matrix(monkeypatch, spec, per_chunk):
     expected = np.stack([mc.sample_matrix(spec, 9, t) for t in range(10)])
     assert drawn.dtype == expected.dtype
     assert drawn.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    mc.EnsembleSpec("iid_complex_gaussian", 3, 5, 2.0),
+    mc.EnsembleSpec("iid_real_gaussian", 4, 2, 2.0),
+    mc.EnsembleSpec("product_iid", 4, 4, 3.0, factors=3),
+], ids=lambda spec: spec.kind)
+def test_one_trial_chunks_refill_one_block(monkeypatch, spec):
+    # A call's one-trial chunks are each drawn in the same array, which
+    # keeps its pages mapped from trial to trial.
+    blocks = []
+    sample_chunk = mc._sample_chunk
+
+    def recording(*args):
+        blocks.append(sample_chunk(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(mc, "_sample_chunk", recording)
+    monkeypatch.setattr(mc, "CHUNK_BYTES", 1)
+    mc.trial_stats(spec, KEEP_ALL, [1.0], 4, 9, ("mr",))
+    assert len(blocks) == 4
+    assert all(np.shares_memory(blocks[0], block) for block in blocks)
 
 
 # ---------------------------------------------------------------------------

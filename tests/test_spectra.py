@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -353,8 +354,6 @@ class _BoundedInverse(sp.SpectralFamily):
 
 def test_psi_root_convergence_errors():
     with pytest.raises(ConvergenceError):
-        sp.SpectralFamily._psi(sp.FreeProduct(MP, MP), -1e-320)
-    with pytest.raises(ConvergenceError):
         _BoundedInverse().psi(-10.0)
     # Past t = 30 its Psi^{-1}(edge) = -1 breaks Jensen's bound, so Psi
     # does not settle on the edge of (-alpha, 0).
@@ -364,8 +363,37 @@ def test_psi_root_convergence_errors():
     spec = sp.EmpiricalSpectrum(np.array([1e-307, 1.0]))
     with pytest.raises(ConvergenceError):
         sp.psi_inverse(spec, -0.99)
-    with pytest.raises(ConvergenceError):
-        sp.psi_inverse(sp.EmpiricalSpectrum(np.array([1.0, 2.0])), -1e-320)
+
+
+def test_psi_below_the_normal_range():
+    # Where |z| * mean is subnormal, so is the root, which the walk cannot
+    # reach; Psi(z) is z / S(0-), here z.
+    assert sp.SpectralFamily._psi(sp.FreeProduct(MP, MP), -1e-320) == -1e-320
+    assert it.mutual_info_measure(sp.FreeProduct(MP, MP), 1e-320) == (
+        1e-320 / math.log(2.0))
+    # 1.7e-222 * 4.2e-206 underflows: Psi rounds to -0.
+    assert sp.ProjectorScaled(sp.SquareIidGram(8.4e-206), 0.5).psi(
+        -1.7e-222) == 0.0
+    z = sp.psi_inverse(sp.EmpiricalSpectrum(np.array([1.0, 2.0])), -1e-320)
+    assert abs(z + 1e-320 / 1.5) <= 4 * math.ulp(1e-320)
+
+
+@pytest.mark.parametrize("family", ROOT_FAMILIES + [
+    sp.FreeProduct(sp.EmpiricalSpectrum(np.array([0.0, 1.0, 2.0])),
+                   MP).restricted()], ids=lambda f: type(f).__name__)
+def test_first_order_psi_agrees_with_the_walk(monkeypatch, family):
+    # Where the walk runs, from the smallest normal w = -z * mean up, the
+    # first-order branch, moved up to take those z, gives its root to the
+    # walk's own resolution: 2^-50 in t = log(-y / (alpha + y)), about 709
+    # here, so about 6e-13 relative.
+    zs = [-k * sys.float_info.min / family.mean
+          for k in (1.0, 1.5, 4.0, 1e3, 1e100, 1e250)]
+    walk = [sp.SpectralFamily._psi(family, z) for z in zs]
+    monkeypatch.setattr(sp, "_TINY", 1e-30)
+    for z, y in zip(zs, walk):
+        branch = sp.SpectralFamily._psi(family, z)
+        assert branch == z / family._s(-1e-30)
+        assert abs(branch - y) <= 1e-12 * abs(y)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +562,17 @@ def test_restricted_s_where_the_scaled_argument_rounds_to_zero():
 _DRAW = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]))
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the empirical Psi overflows 1/(z lambda) at a "
-                          "subnormal z, so Psi^{-1} cannot bracket there")
 @pytest.mark.parametrize("law", [_DRAW, sp.FreeProduct(_DRAW, MP).restricted()],
                          ids=["EmpiricalSpectrum", "Restricted-FreeProduct"])
 def test_empirical_s_at_a_subnormal_argument(law):
+    # At a subnormal z, 1/(z lambda) and (z + 1)/z overflow and log(-z) is
+    # below -709.  S stays positive and finite at the smallest subnormal, and
+    # at -1e-310, which keeps 44 bits, it is S(0-) to the walk's resolution.
     assert 0.0 < law.s_transform(-5e-324) < math.inf
+    s0 = law.s_transform(-1e-300)
+    assert abs(law.s_transform(-1e-310) - s0) <= 1e-12 * s0
+    z = law.psi_inverse(-1e-310)
+    assert abs(law.psi(z) + 1e-310) <= 1e-12 * 1e-310
 
 
 def test_projector_scaling_rule_sampled():
