@@ -19,7 +19,6 @@ from freemimo import (
     empirical_spectrum,
     eta_inverse,
     eta_transform,
-    harmonic_mean_measure,
     log_mean,
     multiplexing_rate_harmonic,
     multiplexing_rate_s,
@@ -36,7 +35,7 @@ def main():
     print("S-transform of the square iid Gram law: S(z) = 1/(1+z)")
     for z in (-0.75, -0.5, -0.25):
         print(f"  S({z:+.2f}) = {s_transform(MP, z):.6f}   "
-              f"m_hat({-z:.2f}) = {harmonic_mean_measure(MP, -z):.6f}")
+              f"m_hat({-z:.2f}) = {1.0 / s_transform(MP, z):.6f}")
 
     print("\nround trips on the negative axis")
     y = psi_transform(MP, -2.0)

@@ -19,7 +19,6 @@ from .spectra import (
     SpectralFamily,
     SquareIidGram,
     binary_entropy,
-    entropy_integral_check,
     eta_inverse,
     eta_transform,
     log_mean,
@@ -30,7 +29,6 @@ from .spectra import (
 from .infotheory import (
     InfoDecomposition,
     decompose,
-    harmonic_mean_measure,
     multiplexing_rate_finite,
     multiplexing_rate_harmonic,
     multiplexing_rate_s,
@@ -40,7 +38,6 @@ from .infotheory import (
 )
 from .asymptotics import (
     binary_entropy_loss,
-    deviation_additivity_check,
     deviation_from_linear,
     deviation_iid,
     deviation_product_iid,

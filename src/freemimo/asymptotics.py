@@ -12,7 +12,7 @@ S-transform ratio integral, and is additive under free multiplication.
 import math
 
 from .errors import DomainError, is_integer
-from .spectra import FreeProduct, binary_entropy
+from .spectra import binary_entropy
 
 
 def binary_entropy_loss(phi, beta):
@@ -87,13 +87,3 @@ def deviation_product_iid(m, beta):
         raise DomainError(f"requires integer m >= 1, got {m}")
     return int(m) * deviation_iid(beta)
 
-
-def deviation_additivity_check(f, g, beta):
-    """Both sides of the additivity law for free products.
-
-    Returns (deviation of the free product, sum of factor deviations) so the
-    caller can assert closeness.
-    """
-    lhs = deviation_from_linear(FreeProduct(f, g), beta)
-    rhs = deviation_from_linear(f, beta) + deviation_from_linear(g, beta)
-    return lhs, rhs

@@ -229,11 +229,6 @@ def multiplexing_rate_s(measure, gamma):
     return a * (math.log2(gamma) + measure.log_mean()) if a > 0.0 else 0.0
 
 
-def harmonic_mean_measure(family, t):
-    """m_hat(t) = 1 / S(-t): harmonic mean of the t-fraction row-removed law."""
-    return 1.0 / family.s_transform(-t)
-
-
 def multiplexing_rate_harmonic(family, beta, gamma):
     """Multiplexing rate after keeping a beta-fraction of rows, per original
     antenna: beta log2(gamma) + integral_0^beta log2 m_hat(t) dt.

@@ -594,13 +594,3 @@ def log_mean(measure):
     an empirical spectrum, -L(1)/ln 2 of the restricted law for a family."""
     return measure.log_mean()
 
-
-def entropy_integral_check(p):
-    """Quadrature self-test: integral_0^p log2((1-z)/(p-z)) dz equals H(p)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"requires p in (0, 1), got {p}")
-
-    def integrand(z):
-        return math.log2((1.0 - z) / (p - z))
-
-    return integrate_log_singular_upper(integrand, 0.0, p)

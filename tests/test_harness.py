@@ -329,8 +329,10 @@ def test_readme_command_lines_parse():
             config = cli._config_from_args(
                 cli._build_parser().parse_args(shlex.split(line)[1:]))
             runs.setdefault(cid, []).append((config.experiment, config.params))
-    assert runs == {cid: gate_runs for cid, (_, gate_runs, _)
-                    in acceptance.GATES.items()}
+    experiments = {cid: [run for run in gate_runs if isinstance(run[0], str)]
+                   for cid, (_, gate_runs, _) in acceptance.GATES.items()}
+    assert runs == {cid: gate_runs for cid, gate_runs in experiments.items()
+                    if gate_runs}
     for block in re.findall(r"```json\n(.*?)```", readme, re.S):
         raw = json.loads(block)
         assert not ExperimentConfig(raw["experiment"], raw["params"]).validate()

@@ -477,7 +477,7 @@ def test_multiplexing_rate_s_examples():
 def test_multiplexing_rate_harmonic_examples():
     assert abs(it.multiplexing_rate_harmonic(sp.Dirac(1.0), 0.5, 4.0) - 1.0) < 1e-10
     assert abs(it.multiplexing_rate_harmonic(MP, 1.0, 1.0) + LOG2E) < 1e-6
-    assert abs(it.harmonic_mean_measure(MP, 0.5) - 0.5) < 1e-14
+    assert abs(1.0 / MP.s_transform(-0.5) - 0.5) < 1e-14
     with pytest.raises(DomainError):
         it.multiplexing_rate_harmonic(sp.BernoulliProjector(0.5), 0.5, 1.0)
 
@@ -493,7 +493,7 @@ def test_harmonic_route_requires_exact_full_rank():
 def test_harmonic_mean_takes_the_s_transform_domain(t):
     # t in (0, alpha) is -t in S's domain (-alpha, 0): one check, in S.
     with pytest.raises(DomainError):
-        it.harmonic_mean_measure(sp.BernoulliProjector(0.5), t)
+        1.0 / sp.BernoulliProjector(0.5).s_transform(-t)
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])

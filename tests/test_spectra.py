@@ -801,12 +801,3 @@ def test_log_s_integral_endpoint_closed_forms():
         fam = sp.BernoulliProjector(beta)
         assert abs(fam.log_s_integral(beta)
                    - sp.binary_entropy(beta) * math.log(2.0)) < 1e-15
-
-
-def test_entropy_integral_matches_binary_entropy():
-    for p in np.arange(0.1, 0.95, 0.1):
-        assert abs(sp.entropy_integral_check(p) - sp.binary_entropy(p)) < 1e-8
-    assert abs(sp.entropy_integral_check(1.0 / 3.0) - 0.9182958340544896) < 1e-8
-    assert sp.entropy_integral_check(1e-6) < 3e-5
-    with pytest.raises(DomainError):
-        sp.entropy_integral_check(0.0)
