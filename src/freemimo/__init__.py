@@ -19,12 +19,6 @@ from .spectra import (
     SpectralFamily,
     SquareIidGram,
     binary_entropy,
-    eta_inverse,
-    eta_transform,
-    log_mean,
-    psi_inverse,
-    psi_transform,
-    s_transform,
 )
 from .infotheory import (
     InfoDecomposition,

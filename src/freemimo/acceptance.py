@@ -109,7 +109,7 @@ def _mi_slope_gap(cut, product, iid):
         h_step = 3e-4 * gamma
         fd = (it.mutual_info_measure(iid, gamma + h_step)
               - it.mutual_info_measure(iid, gamma - h_step)) / (2 * h_step)
-        ident = (1.0 - sp.eta_transform(iid, gamma)) / (gamma * math.log(2))
+        ident = (1.0 - iid.eta(gamma)) / (gamma * math.log(2))
         worst = max(worst, abs(fd - ident) / abs(ident))
     return worst
 
@@ -235,14 +235,14 @@ GATES = {
            [("Bernoulli S closed form vs numeric inversion",
              _bernoulli_inversion_gap, 1e-12, False),
             ("projector scaling vs sampled spectrum", lambda cut, *_: max(
-                abs(sp.s_transform(cut, z) - _MP.s_transform(0.5 * z))
+                abs(cut.s_transform(z) - _MP.s_transform(0.5 * z))
                 for z in (-0.6, -0.4, -0.2)), 0.05, False),
             ("free product S rule vs sampled spectrum", lambda _, prod, __:
-             max(abs(sp.s_transform(prod, z)
+             max(abs(prod.s_transform(z)
                      - sp.FreeProduct(_MP, _MP).s_transform(z))
                  for z in (-0.5, -0.25)), 0.05, False),
             ("eta inverse round trip", lambda *_: max([0.0] + [
-                abs(sp.eta_transform(fam, sp.eta_inverse(fam, t)) - t)
+                abs(fam.eta(fam.eta_inverse(t)) - t)
                 for fam in (_MP, sp.BernoulliProjector(0.5),
                             sp.FreeProduct(_MP, _MP))
                 for t in np.arange(0.1, 0.95, 0.1)

@@ -40,9 +40,6 @@ from .spectra import (
     FreeProduct,
     ProjectorScaled,
     SquareIidGram,
-    eta_transform,
-    psi_transform,
-    s_transform,
 )
 
 CONFIG_SCHEMA = "freemimo-config/1"
@@ -450,9 +447,9 @@ def _run_transforms(p):
         z = alpha * i / (points + 1)
         gamma_db = -10.0 + 50.0 * (i - 1) / max(points - 1, 1)
         gamma = db_to_linear(gamma_db)
-        psi, s = psi_transform(family, -z), s_transform(family, -z)
+        psi, s = family.psi(-z), family.s_transform(-z)
         table_rows.append([float(z), psi, s, 1.0 / s,  # m_hat = 1 / S(-z)
-                           float(gamma_db), eta_transform(family, gamma)])
+                           float(gamma_db), family.eta(gamma)])
     return ["z", "psi_at_minus_z", "s_at_minus_z", "m_hat", "gamma_db",
             "eta"], table_rows
 

@@ -98,18 +98,32 @@ def decompose(measure, gamma):
 GRAM_BLOCK_BYTES = 2 * 2 ** 20
 
 
+def _line_blocks(n, line_bytes, budget):
+    """(start, stop) pairs that split n lines of a blocked product, each
+    line ``line_bytes`` long, into blocks of about ``budget`` bytes.
+
+    A blocked product must give each entry the bytes of the one product.
+    So blocks are multiples of 64 lines, and each starts at a multiple of
+    64: a block of a wide Gram that started off a multiple of 64 moved
+    bytes.  And no block is one line: numpy forms a one-line block as a
+    matrix-vector product, which rounds differently, so a last block of one
+    line joins the block before it.
+    """
+    width = max(1, budget // line_bytes // 64) * 64
+    starts = list(range(0, n, width))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _gram_smaller_side(h):
     """The Gram matrix on the smaller of the two orientations, of a matrix
     or of each matrix in a stack.
 
-    A large complex h is conjugated one block of the Gram at a time: the
-    rows I of a tall draw's conj(H)^T H, or the columns J of a wide draw's
-    H conj(H)^T, so each entry has the operands, and the bytes, of the one
-    product.  Blocks are multiples of 64 wide, so each starts at a multiple
-    of 64, and never one wide: numpy forms a one-wide block as a
-    matrix-vector product, which rounds differently, so a last block of one
-    joins the block before it.  A wide draw's block starting off a multiple
-    of 64 moved bytes too.
+    A large complex h is conjugated one block of the Gram at a time
+    (``_line_blocks``): the rows I of a tall draw's conj(H)^T H, or the
+    columns J of a wide draw's H conj(H)^T, so each entry has the operands,
+    and the bytes, of the one product.
     """
     r, t = h.shape[-2:]
     if not np.iscomplexobj(h) or h.nbytes <= GRAM_BLOCK_BYTES:
@@ -117,12 +131,8 @@ def _gram_smaller_side(h):
         return h @ hh if r < t else hh @ h
     n, inner = min(r, t), max(r, t)
     gram = np.empty(h.shape[:-2] + (n, n), h.dtype)
-    line_bytes = h.nbytes // (r * t) * inner
-    width = max(1, GRAM_BLOCK_BYTES // line_bytes // 64) * 64
-    starts = list(range(0, n, width))
-    if n - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()
-    for a, b in zip(starts, starts[1:] + [n]):
+    for a, b in _line_blocks(n, h.nbytes // (r * t) * inner,
+                             GRAM_BLOCK_BYTES):
         if r < t:
             np.matmul(h, h[..., a:b, :].conj().swapaxes(-1, -2),
                       out=gram[..., a:b])

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, is_integer
-from .infotheory import (_gram_smaller_side, _log2_one_plus,
+from .errors import DomainError, is_integer, is_real
+from .infotheory import (_gram_smaller_side, _line_blocks, _log2_one_plus,
                          _multiplexing_rate, _mutual_info)
 from .spectra import Dirac, EmpiricalSpectrum, FreeProduct, SquareIidGram
 
@@ -112,6 +112,13 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        for name in ("rows", "cols", "factors"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not is_real(self.variance):
+            raise ValueError(f"variance must be a real number, "
+                             f"got {self.variance!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be >= 1")
         if self.kind in ("haar_unitary", "product_iid") and self.rows != self.cols:
@@ -135,6 +142,8 @@ class ProjectorSpec:
     def __post_init__(self):
         if self.side not in ("receive", "transmit"):
             raise ValueError(f"side must be receive or transmit, got {self.side!r}")
+        if not is_real(self.beta):
+            raise ValueError(f"beta must be a real number, got {self.beta!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
 
@@ -337,21 +346,14 @@ def _multiply_in_place(prod, factor, scratch=None):
 
     Rows I of the product are prod[:, I] @ factor, formed in a scratch array
     of at most about ``PRODUCT_BLOCK_BYTES`` and copied back, so each entry
-    has the operands, and the bytes, of the one product.  Blocks are
-    multiples of 64 rows and never one row: numpy forms a one-row block as
-    a matrix-vector product, which rounds differently, so a last block of
-    one row joins the block before it.
+    has the operands, and the bytes, of the one product (``_line_blocks``).
     """
     n = prod.shape[1]
-    rows = max(1, PRODUCT_BLOCK_BYTES // prod[:, 0].nbytes // 64) * 64
-    starts = list(range(0, n, rows))
-    if n - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()
-    ends = starts[1:] + [n]
+    blocks = _line_blocks(n, prod[:, 0].nbytes, PRODUCT_BLOCK_BYTES)
     tmp = _scratch_array(
-        scratch, (len(prod), max(b - a for a, b in zip(starts, ends)), n),
+        scratch, (len(prod), max(b - a for a, b in blocks), n),
         prod.dtype, "product")
-    for a, b in zip(starts, ends):
+    for a, b in blocks:
         prod[:, a:b] = np.matmul(prod[:, a:b], factor, out=tmp[:, :b - a])
 
 

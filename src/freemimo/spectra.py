@@ -2,8 +2,8 @@
 
 Both kinds of measure answer one protocol -- ``alpha``, ``mean``, ``psi``,
 ``psi_inverse``, ``s_transform``, ``eta``, ``eta_inverse``,
-``log_s_integral``, ``log_mean`` and ``restricted`` -- and the module-level
-transforms are one method call each:
+``log_s_integral``, ``log_mean`` and ``restricted`` -- and each transform
+has one public entry, the measure's method:
 
 * ``SpectralFamily`` -- a parametric limiting spectral law described by its
   analytic S-transform.  Concrete variants cover the unit-scale square iid
@@ -211,9 +211,10 @@ class EmpiricalSpectrum(SpectralFamily):
     zero_tolerance = 0.0  # a class constant, not a field; bench/ reads it
 
     def __post_init__(self):
-        vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        if vals.size == 0:
-            raise ValueError("empty spectrum")
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        if vals.ndim != 1 or vals.size == 0:
+            raise ValueError("eigenvalues must be a nonempty 1-d array")
+        vals = np.sort(vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("spectrum contains non-finite eigenvalues")
         if vals[0] < 0.0:
@@ -560,28 +561,12 @@ def invert_psi(psi, y, mean):
                      f"Psi = {y}")
 
 
-# ---------------------------------------------------------------------------
-# measure-generic operations: one method call each
-# ---------------------------------------------------------------------------
-
-def psi_transform(measure, z):
-    """Psi(z) = integral of z x / (1 - z x) dP(x), for z < 0."""
-    return measure.psi(z)
-
-
-def psi_inverse(measure, y):
-    """The unique z < 0 with Psi(z) = y, for y strictly inside (-alpha, 0)."""
-    return measure.psi_inverse(y)
-
+# The benchmark's analytic jobs and probes call these by name.  They go with
+# ROADMAP item 1; everything else calls the measure's method.
 
 def s_transform(measure, z):
     """S(z) = (z + 1)/z * Psi^{-1}(z) on (-alpha, 0); positive there."""
     return measure.s_transform(z)
-
-
-def eta_transform(measure, gamma):
-    """eta(gamma) = integral of 1/(1 + gamma x) dP(x); decreasing, eta(0+) = 1."""
-    return measure.eta(gamma)
 
 
 def eta_inverse(measure, t):
@@ -593,4 +578,3 @@ def log_mean(measure):
     """Mean of log2 over the nonzero spectrum, in bits: the direct mean for
     an empirical spectrum, -L(1)/ln 2 of the restricted law for a family."""
     return measure.log_mean()
-

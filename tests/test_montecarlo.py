@@ -197,6 +197,26 @@ def test_ensemble_validation():
         assert mc.EnsembleSpec(kind, rows, cols, factors=1).factors == 1
 
 
+def test_spec_fields_follow_the_number_rule():
+    # Dimensions and factor counts are integers, scales real numbers, and a
+    # bool is neither: True would pass factors >= 1 and draw one factor, or
+    # pass 0 < beta <= 1 and keep every antenna.
+    for field, args in (("rows", (4.5, 4)), ("rows", (True, 4)),
+                        ("cols", (4, 4.0)), ("variance", (4, 4, "1")),
+                        ("variance", (4, 4, True)),
+                        ("factors", (4, 4, 1.0, 2.0)),
+                        ("factors", (4, 4, 1.0, True))):
+        with pytest.raises(ValueError, match=field):
+            mc.EnsembleSpec("product_iid", *args)
+    for beta in (True, "0.5"):
+        with pytest.raises(ValueError, match="beta"):
+            mc.ProjectorSpec("receive", beta)
+    spec = mc.EnsembleSpec("product_iid", np.int64(4), np.int64(4),
+                           np.float32(2.0), factors=np.int64(2))
+    assert mc.sample_matrix(spec, 0).shape == (4, 4)
+    assert mc.ProjectorSpec("receive", np.float64(0.5)).beta == 0.5
+
+
 # ---------------------------------------------------------------------------
 # projectors
 # ---------------------------------------------------------------------------

@@ -76,6 +76,9 @@ def test_product_draw_is_full_rank():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         sp.EmpiricalSpectrum(np.array([1.0, -0.5]))
+    for bad in ([[1.0, 2.0], [3.0, 4.0]], 5.0, []):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            sp.EmpiricalSpectrum(bad)
     # Zeros are exact: the constructor takes no tolerance, and the class
     # constant reads 0.
     with pytest.raises(TypeError):
@@ -97,37 +100,36 @@ def test_restricted_spectrum():
 # ---------------------------------------------------------------------------
 
 def test_psi_closed_forms():
-    assert sp.psi_transform(sp.Dirac(1.0), -1.0) == -0.5
+    assert sp.Dirac(1.0).psi(-1.0) == -0.5
     zeros = sp.EmpiricalSpectrum(np.zeros(4))
     for z in (-0.1, -1.0, -100.0):
-        assert sp.psi_transform(zeros, z) == 0.0
+        assert zeros.psi(z) == 0.0
     with pytest.raises(DomainError):
-        sp.psi_transform(MP, 0.5)
+        MP.psi(0.5)
 
 
 def test_zero_eigenvalues_at_infinite_argument():
     spec = sp.EmpiricalSpectrum(np.array([0.0, 1.0]))
-    assert sp.psi_transform(spec, -math.inf) == -0.5
-    assert sp.eta_transform(spec, math.inf) == 0.5
+    assert spec.psi(-math.inf) == -0.5
+    assert spec.eta(math.inf) == 0.5
 
 
 def test_psi_against_sampled_spectrum():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0), 11)
-    assert abs(sp.psi_transform(MP, -1.0)
-               - sp.psi_transform(spec, -1.0)) < 0.01
+    assert abs(MP.psi(-1.0) - spec.psi(-1.0)) < 0.01
 
 
 def test_psi_inverse_examples():
-    assert abs(sp.psi_inverse(sp.Dirac(1.0), -0.5) + 1.0) < 1e-14
+    assert abs(sp.Dirac(1.0).psi_inverse(-0.5) + 1.0) < 1e-14
     # y -> 0- gives z -> 0-
-    z = sp.psi_inverse(MP, -1e-8)
+    z = MP.psi_inverse(-1e-8)
     assert -1e-7 < z < 0.0
-    z = sp.psi_inverse(MP, -0.25)
-    assert abs(sp.psi_transform(MP, z) + 0.25) < 1e-10
+    z = MP.psi_inverse(-0.25)
+    assert abs(MP.psi(z) + 0.25) < 1e-10
     for bad in (-2.0, 0.0, 0.5):
         with pytest.raises(DomainError):
-            sp.psi_inverse(MP, bad)
+            MP.psi_inverse(bad)
 
 
 @pytest.mark.parametrize("measure", [
@@ -141,17 +143,17 @@ def test_psi_roundtrip_families(measure):
     alpha = measure.alpha
     for frac in (0.05, 0.3, 0.6, 0.95):
         y = -alpha * frac
-        z = sp.psi_inverse(measure, y)
+        z = measure.psi_inverse(y)
         assert z < 0.0
-        assert abs(sp.psi_transform(measure, z) - y) < 1e-10
+        assert abs(measure.psi(z) - y) < 1e-10
 
 
 def test_psi_roundtrip_empirical():
     rng = np.random.default_rng(3)
     spec = sp.EmpiricalSpectrum(rng.uniform(0.1, 5.0, size=64))
     for z in (-20.0, -1.0, -0.05):
-        y = sp.psi_transform(spec, z)
-        assert abs(sp.psi_inverse(spec, y) - z) < 1e-9 * max(1.0, abs(z))
+        y = spec.psi(z)
+        assert abs(spec.psi_inverse(y) - z) < 1e-9 * max(1.0, abs(z))
 
 
 def _masked_psi(lam, z):
@@ -248,7 +250,7 @@ def test_root_stops_only_on_a_narrow_bracket(beta, z):
 
 def test_psi_monotone():
     zs = np.linspace(-10.0, -0.01, 40)
-    vals = [sp.psi_transform(MP, z) for z in zs]
+    vals = [MP.psi(z) for z in zs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -362,7 +364,7 @@ def test_psi_root_convergence_errors():
     # Psi reaches -0.99 only beyond z = -1e308, which overflows.
     spec = sp.EmpiricalSpectrum(np.array([1e-307, 1.0]))
     with pytest.raises(ConvergenceError):
-        sp.psi_inverse(spec, -0.99)
+        spec.psi_inverse(-0.99)
 
 
 def test_psi_below_the_normal_range():
@@ -374,7 +376,7 @@ def test_psi_below_the_normal_range():
     # 1.7e-222 * 4.2e-206 underflows: Psi rounds to -0.
     assert sp.ProjectorScaled(sp.SquareIidGram(8.4e-206), 0.5).psi(
         -1.7e-222) == 0.0
-    z = sp.psi_inverse(sp.EmpiricalSpectrum(np.array([1.0, 2.0])), -1e-320)
+    z = sp.EmpiricalSpectrum(np.array([1.0, 2.0])).psi_inverse(-1e-320)
     assert abs(z + 1e-320 / 1.5) <= 4 * math.ulp(1e-320)
 
 
@@ -402,11 +404,11 @@ def test_first_order_psi_agrees_with_the_walk(monkeypatch, family):
 
 def test_s_transform_closed_forms():
     for z in (-0.9, -0.5, -0.1):
-        assert sp.s_transform(sp.BernoulliProjector(1.0), z) == 1.0
-    assert abs(sp.s_transform(MP, -0.5) - 2.0) < 1e-14
-    assert abs(sp.s_transform(sp.FreeProduct(MP, MP), -0.5) - 4.0) < 1e-14
+        assert sp.BernoulliProjector(1.0).s_transform(z) == 1.0
+    assert abs(MP.s_transform(-0.5) - 2.0) < 1e-14
+    assert abs(sp.FreeProduct(MP, MP).s_transform(-0.5) - 4.0) < 1e-14
     with pytest.raises(DomainError):
-        sp.s_transform(sp.BernoulliProjector(0.5), -0.7)
+        sp.BernoulliProjector(0.5).s_transform(-0.7)
 
 
 # The built-in measures, nested ones included: each implements kernels
@@ -474,9 +476,7 @@ def test_one_domain_check_per_public_call(monkeypatch):
     monkeypatch.setattr(sp.SpectralFamily, "_check_s_domain", counting)
     nested = sp.ProjectorScaled(sp.FreeProduct(MP, MP), 0.5).restricted()
     assert nested.mean > 0.0 and checks == []  # mean calls the kernel
-    for entry in (nested.s_transform, nested.psi_inverse,
-                  lambda z: sp.s_transform(nested, z),
-                  lambda z: sp.psi_inverse(nested, z)):
+    for entry in (nested.s_transform, nested.psi_inverse):
         checks.clear()
         entry(-0.25)
         assert checks == [-0.25]
@@ -529,19 +529,19 @@ def test_bernoulli_s_exact_on_grid():
     beta = 0.35
     fam = sp.BernoulliProjector(beta)
     for z in np.linspace(-0.34, -0.01, 12):
-        assert abs(sp.s_transform(fam, z) - (z + 1) / (z + beta)) < 1e-15
+        assert abs(fam.s_transform(z) - (z + 1) / (z + beta)) < 1e-15
 
 
 def test_s_numeric_matches_sampled_square_iid():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 2048, 2048, 1.0), 21)
-    assert abs(sp.s_transform(spec, -0.5) - 2.0) < 0.02
+    assert abs(spec.s_transform(-0.5) - 2.0) < 0.02
 
 
 def test_s_numeric_matches_sampled_product():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("product_iid", 1024, 1024, 1.0, factors=2), 22)
-    assert abs(sp.s_transform(spec, -0.5) - 4.0) < 0.05
+    assert abs(spec.s_transform(-0.5) - 4.0) < 0.05
 
 
 def test_projector_scaling_rule_analytic():
@@ -582,13 +582,12 @@ def test_projector_scaling_rule_sampled():
     w = np.maximum(np.linalg.eigvalsh(hp @ hp.conj().T), 0.0)
     restricted = sp.EmpiricalSpectrum(w)
     for z in (-0.6, -0.3):
-        assert abs(sp.s_transform(restricted, z)
-                   - MP.s_transform(0.5 * z)) < 0.05
+        assert abs(restricted.s_transform(z) - MP.s_transform(0.5 * z)) < 0.05
 
 
 # S(z) at z = -0.75, -0.5, -0.25 and eta^{-1}(t) at t = 0.25, 0.5, 0.75 of
 # the 1024 x 512 iid complex draw of the benchmark's analytic workload
-# (seed 1000), recorded from the module-level transforms.
+# (seed 1000).
 RECORDED_S = (1.6008941983791778, 1.3344167321478029, 1.143626559253706)
 RECORDED_ETA_INV = (4.802682595137534, 1.3344167321478029, 0.3812088530845687)
 
@@ -605,9 +604,6 @@ def test_empirical_methods_match_public_functions():
         value = emp.eta_inverse(t)
         assert value == sp.eta_inverse(emp, t)
         assert abs(value - ref) <= 1e-13 * ref
-    assert emp.psi(-2.0) == sp.psi_transform(emp, -2.0)
-    assert emp.psi_inverse(-0.3) == sp.psi_inverse(emp, -0.3)
-    assert emp.eta(2.0) == sp.eta_transform(emp, 2.0)
     assert emp.mean == float(np.mean(emp.eigenvalues))
 
 
@@ -655,41 +651,40 @@ def test_projector_scaled_validates_beta():
 # ---------------------------------------------------------------------------
 
 def test_eta_values():
-    assert abs(sp.eta_transform(sp.Dirac(1.0), 1.0) - 0.5) < 1e-14
-    assert abs(sp.eta_transform(MP, 1e-9) - 1.0) < 1e-8
+    assert abs(sp.Dirac(1.0).eta(1.0) - 0.5) < 1e-14
+    assert abs(MP.eta(1e-9) - 1.0) < 1e-8
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0), 31)
-    assert abs(sp.eta_transform(MP, 10.0)
-               - sp.eta_transform(spec, 10.0)) < 0.01
+    assert abs(MP.eta(10.0) - spec.eta(10.0)) < 0.01
     with pytest.raises(DomainError):
-        sp.eta_transform(MP, 0.0)
+        MP.eta(0.0)
 
 
 def test_eta_strictly_decreasing():
     gammas = np.logspace(-2, 4, 25)
-    vals = [sp.eta_transform(MP, g) for g in gammas]
+    vals = [MP.eta(g) for g in gammas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1.0
 
 
 def test_eta_inverse_examples():
-    assert abs(sp.eta_inverse(sp.Dirac(1.0), 0.5) - 1.0) < 1e-14
+    assert abs(sp.Dirac(1.0).eta_inverse(0.5) - 1.0) < 1e-14
     # two-atom closed form: eta(gamma) = 0.5 + 0.5/(1 + gamma)
     bern = sp.BernoulliProjector(0.5)
-    g = sp.eta_inverse(bern, 0.75)
+    g = bern.eta_inverse(0.75)
     assert abs(0.5 + 0.5 / (1.0 + g) - 0.75) < 1e-12
     with pytest.raises(DomainError):
-        sp.eta_inverse(bern, 0.25)  # below eta(inf) = 1 - beta
+        bern.eta_inverse(0.25)  # below eta(inf) = 1 - beta
 
 
 def test_eta_inverse_roundtrip_grid():
     for t in np.arange(0.1, 0.95, 0.1):
-        g = sp.eta_inverse(MP, t)
-        assert abs(sp.eta_transform(MP, g) - t) < 1e-9
+        g = MP.eta_inverse(t)
+        assert abs(MP.eta(g) - t) < 1e-9
     spec = sp.EmpiricalSpectrum(np.array([0.2, 1.0, 3.0, 4.5]))
     for t in (0.15, 0.5, 0.85):
-        g = sp.eta_inverse(spec, t)
-        assert abs(sp.eta_transform(spec, g) - t) < 1e-9
+        g = spec.eta_inverse(t)
+        assert abs(spec.eta(g) - t) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -697,23 +692,22 @@ def test_eta_inverse_roundtrip_grid():
 # ---------------------------------------------------------------------------
 
 def test_log_mean_closed_forms():
-    assert abs(sp.log_mean(sp.Dirac(1.0))) < 1e-10
-    assert abs(sp.log_mean(sp.Dirac(4.0)) - 2.0) < 1e-10
-    assert abs(sp.log_mean(MP) + LOG2E) < 1e-6
+    assert abs(sp.Dirac(1.0).log_mean()) < 1e-10
+    assert abs(sp.Dirac(4.0).log_mean() - 2.0) < 1e-10
+    assert abs(MP.log_mean() + LOG2E) < 1e-6
 
 
 def test_log_mean_against_sampled_eigenvalues():
     spec = mc.empirical_spectrum(
         mc.EnsembleSpec("iid_complex_gaussian", 1024, 1024, 1.0), 41)
-    assert abs(sp.log_mean(MP)
-               - float(np.mean(np.log2(spec.eigenvalues)))) < 0.02
+    assert abs(MP.log_mean() - float(np.mean(np.log2(spec.eigenvalues)))) < 0.02
 
 
 def _s_integral_log_mean(spec):
     """-integral_0^1 log2 S(-z) dz of the restricted spectrum."""
     m = spec.restricted()
     return -integrate_log_singular_upper(
-        lambda z: math.log2(sp.s_transform(m, -max(z, 1e-18))), 0.0, 1.0)
+        lambda z: math.log2(m.s_transform(-max(z, 1e-18))), 0.0, 1.0)
 
 
 def test_log_mean_empirical_equals_direct_mean():
@@ -724,7 +718,7 @@ def test_log_mean_empirical_equals_direct_mean():
     for spec in (sp.EmpiricalSpectrum(np.array([0.0, 0.5, 1.0, 2.0, 4.0])),
                  draw):
         direct = float(np.mean(np.log2(spec.nonzero)))
-        assert sp.log_mean(spec) == direct
+        assert spec.log_mean() == direct
         assert abs(_s_integral_log_mean(spec) - direct) < 1e-8
 
 
@@ -739,21 +733,21 @@ def test_empirical_log_mean_reads_the_cached_nonzero(monkeypatch):
     built = []
     monkeypatch.setattr(sp.EmpiricalSpectrum, "__post_init__",
                         lambda self: built.append(self))
-    assert sp.log_mean(draw).hex() == via_restricted.hex()
+    assert draw.log_mean().hex() == via_restricted.hex()
     assert built == []
 
 
 def test_log_mean_all_zero_spectrum():
     with pytest.raises(DomainError):
-        sp.log_mean(sp.EmpiricalSpectrum(np.zeros(4)))
+        sp.EmpiricalSpectrum(np.zeros(4)).log_mean()
 
 
 def test_log_mean_additive_under_free_product():
     f = sp.SquareIidGram(1.0)
     g = sp.Dirac(3.0)
     product = sp.FreeProduct(f, g)
-    combined = sp.log_mean(product)
-    assert abs(combined - sp.log_mean(f) - sp.log_mean(g)) < 1e-8
+    combined = product.log_mean()
+    assert abs(combined - f.log_mean() - g.log_mean()) < 1e-8
     # The closed form sums the factors' ln S integrals; the quadrature
     # route integrates the numeric product of their S-transforms.
     via_product = -sp.SpectralFamily._log_s_integral(product, 1.0) * LOG2E
